@@ -272,13 +272,14 @@ let pipeline (s : H.scale) =
       ( CW.thresh_threshold ~hist ~total:(nr * nr) ~p:s.H.p,
         Scoop.Stats.diff (Scoop.Stats.snapshot stats) before ))
   in
-  (* Dynamic sync elision (§3.4.1, handler side): one handler, one call
-     plus one result pull per round, the pull forced {e inside} the
-     block.  Blocking mode pays the full query round trip every round.
-     Pipelined mode issues [query_async] and forces immediately: the
-     handler reaches the pipelined request with the registration's log
-     drained, marks the promise, and the force doubles as the sync —
-     counted under [syncs_elided] (asserted nonzero by CI). *)
+  (* Dynamic sync elision (§3.4.1): one handler, one call plus one
+     result pull per round, the pull forced {e inside} the block and
+     followed by a sync.  Blocking mode pays the full query round trip
+     every round.  Pipelined mode issues [query_async] and forces
+     immediately.  Either rendezvous leaves the registration synced, so
+     under dynamic sync coalescing the sync after it is elided — a round
+     trip actually skipped, counted under [syncs_elided] (asserted
+     nonzero by CI). *)
   let elision ~pipelined () =
     Scoop.Runtime.run ~domains ~config (fun rt ->
       let stats = Scoop.Runtime.stats rt in
@@ -289,11 +290,12 @@ let pipeline (s : H.scale) =
       for _ = 1 to rounds do
         Scoop.Runtime.separate rt h (fun reg ->
           Scoop.Registration.call reg (fun () -> incr r);
-          if pipelined then begin
-            let p = Scoop.Registration.query_async reg (fun () -> !r) in
-            total := !total + Scoop.Promise.await p
-          end
-          else total := !total + Scoop.Registration.query reg (fun () -> !r))
+          (if pipelined then begin
+             let p = Scoop.Registration.query_async reg (fun () -> !r) in
+             total := !total + Scoop.Promise.await p
+           end
+           else total := !total + Scoop.Registration.query reg (fun () -> !r));
+          Scoop.Registration.sync reg)
       done;
       (!total, Scoop.Stats.diff (Scoop.Stats.snapshot stats) before))
   in
@@ -647,12 +649,10 @@ let remote_ablation (s : H.scale) =
 (* -- per-request allocation probe ------------------------------------------- *)
 
 (* What does one request allocate?  The call+query round-trip workload
-   on the qoq preset, measured with GC word deltas (the same idiom as
-   the transport row of the timeout ablation), with the flat-request
-   pool on (the default) and forced off ([~pooling:false]) so the
-   delta isolates the pooled flat representation.  One domain: client
-   and handler then allocate on the measured domain, so the minor-word
-   delta is the whole story. *)
+   on the qoq preset (packaged queries), measured with GC word deltas
+   (the same idiom as the transport row of the timeout ablation).  One
+   domain: client and handler then allocate on the measured domain, so
+   the minor-word delta is the whole story. *)
 let allocation_probe (s : H.scale) =
   print_newline ();
   print_endline
@@ -660,21 +660,17 @@ let allocation_probe (s : H.scale) =
      the qoq preset";
   print_endline (String.make 72 '-');
   let rounds = max 2_000 s.H.m in
-  let measure ~pooling =
-    Scoop.Runtime.run ~domains:1
-      ~config:Scoop.Config.(qoq |> with_pooling pooling)
-      (fun rt ->
+  let measure () =
+    Scoop.Runtime.run ~domains:1 ~config:Scoop.Config.qoq (fun rt ->
       let h = Scoop.Runtime.processor rt in
-      let stats = Scoop.Runtime.stats rt in
       let r = ref 0 in
       Scoop.Runtime.separate rt h (fun reg ->
-        (* Warm-up: fault in the pool, the private queue and the code
-           paths before the window opens. *)
+        (* Warm-up: fault in the private queue and the code paths before
+           the window opens. *)
         for _ = 1 to 128 do
           Scoop.Registration.call reg (fun () -> incr r);
           ignore (Scoop.Registration.query reg (fun () -> !r) : int)
         done;
-        let before = Scoop.Stats.snapshot stats in
         let minor0 = Gc.minor_words () in
         let major0 = (Gc.quick_stat ()).Gc.major_words in
         let t0 = Unix.gettimeofday () in
@@ -685,42 +681,21 @@ let allocation_probe (s : H.scale) =
         let secs = Unix.gettimeofday () -. t0 in
         let minor = Gc.minor_words () -. minor0 in
         let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
-        let d = Scoop.Stats.diff (Scoop.Stats.snapshot stats) before in
         let requests = float_of_int (2 * rounds) in
-        ( minor /. requests,
-          major /. requests,
-          secs *. 1e9 /. requests,
-          d.Scoop.Stats.s_requests_flat,
-          d.Scoop.Stats.s_requests_pooled,
-          d.Scoop.Stats.s_pool_misses )))
+        (minor /. requests, major /. requests, secs *. 1e9 /. requests)))
   in
-  (* Best-of-reps on each side: per-request allocation is deterministic,
-     the timing is the quietest observed interleaving. *)
-  let best side =
-    List.init (max 3 s.H.reps) (fun _ -> measure ~pooling:side)
+  (* Best of reps: per-request allocation is deterministic, the timing
+     is the quietest observed interleaving. *)
+  let minor, major, ns =
+    List.init (max 3 s.H.reps) (fun _ -> measure ())
     |> List.fold_left
-         (fun acc ((_, _, ns, _, _, _) as m) ->
-           match acc with
-           | Some ((_, _, best_ns, _, _, _) as b) ->
-             Some (if ns < best_ns then m else b)
-           | None -> Some m)
-         None
-    |> Option.get
+         (fun (_, _, best_ns as b) (_, _, ns as m) ->
+           if ns < best_ns then m else b)
+         (infinity, infinity, infinity)
   in
-  let pooled_minor, pooled_major, pooled_ns, p_flat, p_pooled, p_miss =
-    best true
-  in
-  let plain_minor, plain_major, plain_ns, _, _, _ = best false in
-  Printf.printf
-    "%-36s %10.1f minor + %6.1f major words, %6.0f ns/request (%d flat: %d \
-     pooled, %d misses)\n"
-    "pooled flat requests (default)" pooled_minor pooled_major pooled_ns
-    p_flat p_pooled p_miss;
   Printf.printf "%-36s %10.1f minor + %6.1f major words, %6.0f ns/request\n"
-    "pooling disabled" plain_minor plain_major plain_ns;
-  ( (pooled_minor, pooled_major, pooled_ns),
-    (plain_minor, plain_major, plain_ns),
-    2 * rounds )
+    "packaged requests" minor major ns;
+  ((minor, major, ns), 2 * rounds)
 
 (* -- trace conformance probe ------------------------------------------------- *)
 
@@ -729,10 +704,10 @@ let allocation_probe (s : H.scale) =
    automaton of the operational semantics (via Qs_conform, which
    partitions the merged stream per registration before checking): the
    handler never executes a call before it was logged, and every
-   dynamically elided sync happened in the synced state (a round trip
-   established the drained log and nothing was logged since).  This is
-   the evidence that the pooled fast path and the handler-side elision
-   preserve the reasoning rules.
+   dynamically elided sync happened in the synced state (a served
+   rendezvous established the drained log and nothing was logged
+   since).  Each round ends in a sync right after the pipelined force,
+   so the elisions counted here are round trips actually skipped.
 
    The partitioning matters: this probe used to feed the merged
    multi-client stream straight into Qs_semantics.Replay, whose
@@ -758,7 +733,8 @@ let conformance_probe (s : H.scale) =
             Scoop.Runtime.separate rt h (fun reg ->
               Scoop.Registration.call reg (fun () -> incr r);
               let p = Scoop.Registration.query_async reg (fun () -> !r) in
-              ignore (Scoop.Promise.await p : int))
+              ignore (Scoop.Promise.await p : int);
+              Scoop.Registration.sync reg)
           done;
           Qs_sched.Latch.count_down latch)
       done;
@@ -1043,19 +1019,16 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
   let alloc_json =
     match alloc_info with
     | None -> []
-    | Some ((p_minor, p_major, p_ns), (u_minor, u_major, u_ns), requests) ->
+    | Some ((minor, major, ns), requests) ->
       [
         ( "allocation",
           Obj
             [
               ("preset", String "qoq");
               ("requests", Int requests);
-              ("minor_words_per_request", Float p_minor);
-              ("major_words_per_request", Float p_major);
-              ("ns_per_request", Float p_ns);
-              ("minor_words_per_request_unpooled", Float u_minor);
-              ("major_words_per_request_unpooled", Float u_major);
-              ("ns_per_request_unpooled", Float u_ns);
+              ("minor_words_per_request", Float minor);
+              ("major_words_per_request", Float major);
+              ("ns_per_request", Float ns);
             ] );
       ]
   in
@@ -1104,7 +1077,6 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
             ( "promises_forced_blocking",
               Int snap.Scoop.Stats.s_promises_blocked );
             ("overlap_ratio", Float (Scoop.Stats.overlap_ratio snap));
-            ("requests_flat", Int snap.Scoop.Stats.s_requests_flat);
             ("syncs_elided", Int snap.Scoop.Stats.s_syncs_elided);
           ])
       pipeline_rows

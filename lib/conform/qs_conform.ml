@@ -53,11 +53,9 @@ let event_of_kind (k : T.kind) ~proc =
   | T.Registration_poisoned -> Some (R.Poisoned proc)
   (* A query shed rejects a rendezvous without consuming a logged-call
      slot — the replay automaton's Shed label models call sheds only.
-     The rejected rendezvous still completes (the client observes
-     [Overloaded]), so a blocking query records its round trip — and
-     mapping that to Synced stays sound: by the time the rejection
-     wakes the client the handler has consumed everything logged before
-     the query. *)
+     The handler never ran the query, so the client records no round
+     trip or pipelined span for it and its synced status stays as it
+     was: no Synced event follows. *)
   | T.Handler_failed | T.Promise_rejected | T.Query_shed -> None
 
 type bucket = {

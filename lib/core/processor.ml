@@ -27,9 +27,7 @@
    the client's ivar/promise, or poisoning its registration) instead of
    dying in a log line, and the processor remembers that it has ever
    failed so its terminal lifecycle state is [Failed] rather than
-   [Stopped].  Flat requests route failures structurally, from the tag:
-   calls poison through the preallocated [fail_to], blocking queries
-   reject the embedded cell, pipelined queries reject the promise.
+   [Stopped].
 
    The lifecycle is an explicit state machine:
 
@@ -69,15 +67,20 @@ let () =
    packaged Fig. 10a path — client-side query execution is meaningless
    across a process boundary, so remote registrations always package);
    [px_query_async] returns the promise immediately, which is what makes
-   remote queries pipeline.  [px_on_poison] installs the registration's
-   poison completion: the demultiplexer invokes it when the node reports
-   a handler failure (dirty-processor rule across the connection) or
-   when the connection is lost. *)
+   remote queries pipeline; the demultiplexer sets [served] just before
+   it resolves the promise with a node reply (a value or a node-side
+   failure), never on connection loss.  [px_on_poison] installs the
+   registration's poison completion: the demultiplexer invokes it when
+   the node reports a handler failure (dirty-processor rule across the
+   connection) or when the connection is lost. *)
 type reg_proxy = {
   px_call : (unit -> unit) -> unit;
   px_query : timeout:float option -> (unit -> Obj.t) -> Obj.t;
   px_query_async :
-    (unit -> Obj.t) -> on_force:(bool -> unit) -> Obj.t Qs_sched.Promise.t;
+    (unit -> Obj.t) ->
+    served:bool ref ->
+    on_force:(bool -> unit) ->
+    Obj.t Qs_sched.Promise.t;
   px_sync : timeout:float option -> unit;
   px_close : unit -> unit;
   px_on_poison : (exn -> Printexc.raw_backtrace -> unit) -> unit;
@@ -120,14 +123,8 @@ type t = {
   stream_closed : bool Atomic.t; (* close the request stream exactly once *)
   exited : unit Qs_sched.Ivar.t; (* filled when the handler fiber returns *)
   (* backpressure accounting, used only when [config.bound > 0] *)
-  pending : int Atomic.t; (* admitted Call/Query requests not yet drained *)
+  pending : int Atomic.t; (* admitted calls and queries not yet drained *)
   shed_debt : int Atomic.t; (* drained requests still owed a shedding *)
-  (* handler-local recycle buffer: slots of flat records served during
-     the current drain batch, spliced back into the pool with a single
-     CAS at batch end instead of one per request (the pool head is the
-     line clients and handler contend on).  Handler-fiber only. *)
-  recycle_buf : int array;
-  mutable recycle_n : int;
   (* The handler's current notion of "now" (ns), used as the service
      start stamp of the next request it serves: refreshed once per
      drained batch and after every completed request, so latency
@@ -135,134 +132,12 @@ type t = {
      completion stamp, which doubles as the successor's start stamp.
      Handler-fiber only. *)
   mutable h_now : int;
-  (* flat-request free list (the §3.2 queue-cache pattern applied to
-     request records).  Per-processor rather than per-domain: the
-     handler recycles on its own domain while clients allocate on
-     theirs, so domain-local pools would never see records come back —
-     a processor-owned free list is where the two sides naturally meet
-     (clients pop, the handler pushes). *)
-  flat_pool : pool;
 }
 
-(* The free list itself: an intrusive Treiber stack threaded through
-   slot indices of a preallocated record array, with the head packing
-   {version, index + 1} into one tagged int.  Push and pop are a CAS
-   and two array accesses — no node, no option, no tuple: the pool
-   exists to take allocation off the request hot path, so its own
-   bookkeeping must not put any back.  The version tag makes the
-   concurrent pops ABA-safe (a pop that slept through a pop/push cycle
-   fails its CAS because the version advanced); 16 bits of index leave
-   47 bits of version on 64-bit, which never wraps in practice. *)
-and pool = {
-  slots : Request.flat array; (* slot i holds the record with [slot = i] *)
-  links : int array; (* free-list next per slot; -1 terminates *)
-  head : int Atomic.t; (* (version lsl 16) lor (index + 1); low 0 = empty *)
-}
-
-(* The handler's view of its request stream.  [drain buf] blocks until at
+(* The handler's view of its request stream: [drain buf] blocks until at
    least one request is pending, moves a batch into [buf], and returns the
-   count; 0 means closed-and-drained (shutdown).  [quiet] is the drained
-   hint probe: does the stream currently hold no further requests beyond
-   the batch being served?  (For queue-of-queues: the current private
-   queue; for lock mode: the whole request queue.)  Optimism is fine —
-   the client-side watermark check in [Registration] is the authority. *)
-type mailbox = { drain : Request.t array -> int; quiet : unit -> bool }
-
-(* -- flat request pool ------------------------------------------------------- *)
-
-let pool_cap = 64 (* preallocated records per processor (~a few KB) *)
-
-let make_pool enabled =
-  if not enabled then { slots = [||]; links = [||]; head = Atomic.make 0 }
-  else begin
-    let slots =
-      Array.init pool_cap (fun i ->
-        let r = Request.make_flat () in
-        r.Request.slot <- i;
-        r)
-    in
-    (* Thread the initial free list straight down the array: slot i
-       links to i - 1, slot 0 terminates, the head starts at the top. *)
-    let links = Array.init pool_cap (fun i -> i - 1) in
-    { slots; links; head = Atomic.make pool_cap }
-  end
-
-let rec pool_pop p =
-  let h = Atomic.get p.head in
-  let i = (h land 0xFFFF) - 1 in
-  if i < 0 then -1
-  else
-    let h' = (((h lsr 16) + 1) lsl 16) lor (p.links.(i) + 1) in
-    if Atomic.compare_and_set p.head h h' then i else pool_pop p
-
-let rec pool_push p i =
-  let h = Atomic.get p.head in
-  p.links.(i) <- (h land 0xFFFF) - 1;
-  let h' = (((h lsr 16) + 1) lsl 16) lor (i + 1) in
-  if not (Atomic.compare_and_set p.head h h') then pool_push p i
-
-(* Splice [n] slots back in one CAS: chain them through their links
-   (safe without synchronization — buffered slots are not in the pool,
-   nobody else touches their link entries), then swing the head onto the
-   top of the chain. *)
-let pool_splice p buf n =
-  for k = n - 1 downto 1 do
-    p.links.(buf.(k)) <- buf.(k - 1)
-  done;
-  let bottom = buf.(0) and top = buf.(n - 1) in
-  let rec go () =
-    let h = Atomic.get p.head in
-    p.links.(bottom) <- (h land 0xFFFF) - 1;
-    let h' = (((h lsr 16) + 1) lsl 16) lor (top + 1) in
-    if not (Atomic.compare_and_set p.head h h') then go ()
-  in
-  go ()
-
-(* Shared sentinel returned on a pool miss.  Clients compare against it
-   physically and fall back to the packaged representation: allocating a
-   fresh flat record on a miss would cost *more* than a packaged closure
-   (the record is bigger), so an empty pool — e.g. a client flooding
-   asynchronous calls faster than the handler recycles — degrades to
-   exactly the baseline path instead of a slower one.  The sentinel is
-   never filled, enqueued or recycled. *)
-let no_flat = Request.make_flat ()
-
-(* Pop a pooled record, or [no_flat] on a miss (the caller then issues
-   the request in packaged form). *)
-let alloc_flat t =
-  let i = pool_pop t.flat_pool in
-  if i >= 0 then begin
-    Qs_obs.Counter.incr t.stats.Stats.requests_flat;
-    Qs_obs.Counter.incr t.stats.Stats.requests_pooled;
-    t.flat_pool.slots.(i)
-  end
-  else begin
-    Qs_obs.Counter.incr t.stats.Stats.pool_misses;
-    no_flat
-  end
-
-(* Reset and return a record to the free list, immediately (one CAS).
-   Used by clients (consumed blocking queries) and the cold discard /
-   shed paths; the handler's hot path buffers into [recycle_buf]
-   instead. *)
-let recycle_flat t r =
-  Request.reset_flat r;
-  if r.Request.slot >= 0 then pool_push t.flat_pool r.Request.slot
-
-(* Handler-fiber recycle: reset now (drop captured references without
-   waiting for batch end) but defer the pool push to the batch splice. *)
-let recycle_local t r =
-  Request.reset_flat r;
-  if r.Request.slot >= 0 then begin
-    t.recycle_buf.(t.recycle_n) <- r.Request.slot;
-    t.recycle_n <- t.recycle_n + 1
-  end
-
-let flush_recycled t =
-  if t.recycle_n > 0 then begin
-    pool_splice t.flat_pool t.recycle_buf t.recycle_n;
-    t.recycle_n <- 0
-  end
+   count; 0 means closed-and-drained (shutdown). *)
+type mailbox = Request.t array -> int
 
 (* Latency recording at request completion, into the per-class
    histogram (birth -> done) plus the two pipeline-splitting ones
@@ -307,7 +182,8 @@ let guarded t req (pk : Request.packaged) =
     Atomic.set t.failed true;
     (match t.sink with
     | Some s ->
-      Qs_obs.Sink.instant s ~cat:"core" ~name:"handler_failure" ~track:t.id ()
+      Qs_obs.Sink.instant s ~cat:"core" ~name:"handler_failure" ~track:t.id
+        ~arg:pk.Request.reg ()
     | None -> ());
     log_failure t req e;
     (try pk.Request.fail e bt with e2 -> log_failure t req e2);
@@ -330,140 +206,17 @@ let execute t req pk =
   end
   else guarded t req pk
 
-(* -- flat request serving ---------------------------------------------------- *)
-
-(* The pipelined promise rides [pr] under the uniform-representation
-   coercion (set by Registration together with the [Pipelined] tag). *)
-let flat_promise (r : Request.flat) : Obj.t Qs_sched.Promise.t =
-  Obj.magic r.Request.pr
-
-(* Route a failure into a flat request's completion, structurally from
-   the tag (no per-request fail closure exists to call): asynchronous
-   calls poison the registration through the preallocated [fail_to],
-   blocking queries reject the embedded cell, pipelined queries reject
-   the promise (accounted like the packaged rejection path). *)
-let fail_flat t req (r : Request.flat) e bt =
-  match r.Request.tag with
-  | Request.Call0 | Request.Call1 -> (
-    try r.Request.fail_to e bt with e2 -> log_failure t req e2)
-  | Request.Query0 | Request.Query1 ->
-    (* A failed fill means the awaiting client abandoned the rendezvous
-       (timed out and error-filled the cell first): the abandoning side
-       cannot recycle — the handler might still have been about to run
-       the query — so the loser of the cell's CAS does it here. *)
-    if
-      not
-        (Qs_sched.Cell.try_fill_error ~bt r.Request.cell ~gen:r.Request.cgen e)
-    then recycle_local t r
-  | Request.Pipelined ->
-    if Qs_sched.Promise.try_fulfill_error ~bt (flat_promise r) e then begin
-      Qs_obs.Counter.incr t.stats.Stats.rejected_promises;
-      match t.sink with
-      | Some s ->
-        Qs_obs.Sink.instant s ~cat:"client" ~name:"promise_rejected"
-          ~track:t.id ()
-      | None -> ()
-    end
-  | Request.Free -> ()
-
-(* Decode the tag and run the inline function — the flat counterpart of
-   a packaged [run], with no closure ever built.  [last]/[quiet] feed
-   the drained hint: a pipelined query fulfilled at the tail of a batch
-   with nothing further pending marks its promise drained {e before}
-   fulfilment, so a forcing client can elide its sync re-establishment
-   round trip (dynamic sync coalescing, §3.4.1, generalized to the
-   handler side). *)
-let run_flat t ~last ~quiet (r : Request.flat) =
-  match r.Request.tag with
-  | Request.Call0 -> r.Request.f0 ()
-  | Request.Call1 -> r.Request.f1 r.Request.a1
-  | Request.Query0 ->
-    let v = r.Request.q0 () in
-    (* Fill lost: the client timed out and error-filled the cell first.
-       It will never touch the record again, so the handler recycles
-       (the cell's CAS decides exactly one recycler). *)
-    if not (Qs_sched.Cell.try_fill r.Request.cell ~gen:r.Request.cgen v) then
-      recycle_local t r
-  | Request.Query1 ->
-    let v = r.Request.q1 r.Request.a1 in
-    if not (Qs_sched.Cell.try_fill r.Request.cell ~gen:r.Request.cgen v) then
-      recycle_local t r
-  | Request.Pipelined ->
-    let p = flat_promise r in
-    let v = r.Request.q0 () in
-    if last && quiet () then Qs_sched.Promise.mark_drained p;
-    Qs_sched.Promise.fulfill p v;
-    Qs_obs.Counter.incr t.stats.Stats.promises_fulfilled
-  | Request.Free -> ()
-
-let guarded_flat t req ~last ~quiet (r : Request.flat) =
-  try run_flat t ~last ~quiet r
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Qs_obs.Counter.incr t.stats.Stats.handler_failures;
-    Atomic.set t.failed true;
-    (match t.sink with
-    | Some s ->
-      Qs_obs.Sink.instant s ~cat:"core" ~name:"handler_failure" ~track:t.id ()
-    | None -> ());
-    log_failure t req e;
-    fail_flat t req r e bt
-
-(* Handler-side recycling: calls and pipelined queries are done with
-   their record the moment they have been served (the promise, not the
-   record, is the pipelined rendezvous), so the handler returns them to
-   the pool immediately.  Blocking queries hand the record to the
-   awaiting client, which recycles after consuming the embedded cell —
-   unless its await timed out, in which case nobody recycles and the
-   record is left to the GC. *)
-let execute_flat t req ~last ~quiet (r : Request.flat) =
-  (* Capture the tag (and the stamps) before running: filling a blocking
-     query's cell wakes the awaiting client, which may consume and
-     recycle the record (resetting the tag to [Free]) before this
-     function returns — a post-run read could then recycle a second
-     time, putting the record in the pool twice. *)
-  let tag = r.Request.tag in
-  let birth = r.Request.t_birth and admit = r.Request.t_admit in
-  if t.config.Config.eve then begin
-    let top = t.shadow_top in
-    if top + 2 < Array.length t.shadow then begin
-      t.shadow.(top) <- t.id;
-      t.shadow.(top + 1) <- top;
-      t.shadow_top <- top + 2
-    end;
-    guarded_flat t req ~last ~quiet r;
-    t.shadow_top <- top
-  end
-  else guarded_flat t req ~last ~quiet r;
-  (match tag with
-  | Request.Query0 | Request.Query1 -> ()
-  | Request.Call0 | Request.Call1 | Request.Pipelined | Request.Free ->
-    recycle_local t r);
-  match tag with
-  | Request.Free -> ()
-  | Request.Call0 | Request.Call1 ->
-    record_served t ~kind:Request.K_call ~birth ~admit
-  | Request.Query0 | Request.Query1 ->
-    record_served t ~kind:Request.K_query ~birth ~admit
-  | Request.Pipelined ->
-    record_served t ~kind:Request.K_pipelined ~birth ~admit
-
 (* One request, uniformly in both modes (the run / release / end rules). *)
-let serve t ~last ~quiet req =
+let serve t req =
   match req with
   | Request.Call pk ->
-    ignore (execute t req pk : bool);
-    record_served t ~kind:pk.Request.kind ~birth:pk.Request.t_birth
-      ~admit:pk.Request.t_admit
-  | Request.Flat r -> execute_flat t req ~last ~quiet r
-  | Request.Query pk ->
-    (* A pipelined query: the packaged closure computes the result and
-       fulfils the client's promise (resuming any already-blocked
-       forcer through the promise's waiter list).  Counted separately
-       so the overlap of issue and fulfilment is observable; a raising
-       closure rejects the promise instead, counted under
-       [rejected_promises] by the completion. *)
-    if execute t req pk then
+    let ok = execute t req pk in
+    (* A pipelined query's closure fulfils the client's promise (resuming
+       any already-blocked forcer through the promise's waiter list).
+       Counted separately so the overlap of issue and fulfilment is
+       observable; a raising closure rejects the promise instead,
+       counted under [rejected_promises] by the completion. *)
+    if ok && pk.Request.kind = Request.K_pipelined then
       Qs_obs.Counter.incr t.stats.Stats.promises_fulfilled;
     record_served t ~kind:pk.Request.kind ~birth:pk.Request.t_birth
       ~admit:pk.Request.t_admit
@@ -486,20 +239,10 @@ let serve t ~last ~quiet req =
    survive an abort as far as possible. *)
 let discard t req =
   match req with
-  | (Request.Call pk | Request.Query pk) as r ->
+  | Request.Call pk ->
     Qs_obs.Counter.incr t.stats.Stats.aborted_requests;
     let bt = Printexc.get_callstack 0 in
-    (try pk.Request.fail (Aborted t.id) bt with e -> log_failure t r e)
-  | Request.Flat r ->
-    Qs_obs.Counter.incr t.stats.Stats.aborted_requests;
-    let bt = Printexc.get_callstack 0 in
-    (* Tag captured before the fail: failing a blocking query fills its
-       cell, and the woken client may recycle the record concurrently. *)
-    let tag = r.Request.tag in
-    fail_flat t req r (Aborted t.id) bt;
-    (match tag with
-    | Request.Query0 | Request.Query1 -> () (* the woken client recycles *)
-    | _ -> recycle_flat t r)
+    (try pk.Request.fail (Aborted t.id) bt with e -> log_failure t req e)
   | Request.Sync resume -> resume ()
   | Request.End -> Qs_obs.Counter.incr t.stats.Stats.ends_drained
 
@@ -507,7 +250,7 @@ let discard t req =
    and End are control-flow, not work — they are always admitted, always
    served. *)
 let countable = function
-  | Request.Call _ | Request.Query _ | Request.Flat _ -> true
+  | Request.Call _ -> true
   | Request.Sync _ | Request.End -> false
 
 let rec take_debt t =
@@ -519,7 +262,8 @@ let rec take_debt t =
 (* Shed one request from the backlog: fail its completion with
    [Overloaded] without executing it.  For a Call this poisons the
    client's registration (the dirty-processor rule — load shedding is a
-   failure the client must observe); for a Query it rejects the promise. *)
+   failure the client must observe); for a query it rejects the
+   rendezvous (the client's ivar or promise). *)
 let shed t req =
   (* The shed event carries the request's registration id (arg) so a
      conformance checker can attribute it to the client whose logged
@@ -533,35 +277,18 @@ let shed t req =
     | None -> ()
   in
   match req with
-  | Request.Call pk as r ->
+  | Request.Call pk ->
     Qs_obs.Counter.incr t.stats.Stats.shed_requests;
-    trace_shed "shed" pk.Request.reg;
+    (match pk.Request.kind with
+    | Request.K_call -> trace_shed "shed" pk.Request.reg
+    | Request.K_query | Request.K_pipelined ->
+      trace_shed "shed_query" pk.Request.reg);
     let bt = Printexc.get_callstack 0 in
-    (try pk.Request.fail (Overloaded t.id) bt with e -> log_failure t r e)
-  | Request.Query pk as r ->
-    Qs_obs.Counter.incr t.stats.Stats.shed_requests;
-    trace_shed "shed_query" pk.Request.reg;
-    let bt = Printexc.get_callstack 0 in
-    (try pk.Request.fail (Overloaded t.id) bt with e -> log_failure t r e)
-  | Request.Flat r ->
-    Qs_obs.Counter.incr t.stats.Stats.shed_requests;
-    (* Captured before the fail: failing a blocking query wakes the
-       client, which may recycle (and zero) the record concurrently. *)
-    let reg = r.Request.reg in
-    let tag = r.Request.tag in
-    (match tag with
-    | Request.Query0 | Request.Query1 | Request.Pipelined ->
-      trace_shed "shed_query" reg
-    | _ -> trace_shed "shed" reg);
-    let bt = Printexc.get_callstack 0 in
-    fail_flat t req r (Overloaded t.id) bt;
-    (match tag with
-    | Request.Query0 | Request.Query1 -> ()
-    | _ -> recycle_flat t r)
+    (try pk.Request.fail (Overloaded t.id) bt with e -> log_failure t req e)
   | Request.Sync _ | Request.End -> assert false
 
-(* Admission control, called by registrations before enqueueing a Call or
-   Query.  With [bound = 0] (every preset) this is one branch.  Remote
+(* Admission control, called by registrations before enqueueing a call
+   or query.  With [bound = 0] (every preset) this is one branch.  Remote
    processors skip client-side admission: the bound is enforced on the
    node (its own [admit] + the serve fiber blocking on a full private
    queue + the kernel socket buffers give end-to-end backpressure). *)
@@ -600,11 +327,10 @@ let admit t =
   end
 
 (* The single handler loop (Fig. 7), parameterized by the mailbox. *)
-let handler_loop t mailbox =
+let handler_loop t (drain : mailbox) =
   let buf = Array.make (max 1 t.config.Config.batch) Request.End in
-  let quiet = mailbox.quiet in
   let rec loop () =
-    match mailbox.drain buf with
+    match drain buf with
     | 0 -> () (* shutdown *)
     | n ->
       Qs_obs.Counter.incr t.stats.Stats.handler_wakeups;
@@ -621,7 +347,6 @@ let handler_loop t mailbox =
          able to discard the rest of a batch already drained. *)
       for i = 0 to n - 1 do
         let req = buf.(i) in
-        let last = i = n - 1 in
         let aborted = Atomic.get t.aborted in
         if bounded && countable req then begin
           Atomic.decr t.pending;
@@ -631,13 +356,12 @@ let handler_loop t mailbox =
              an established sync, a shed End would leak a registration. *)
           if (not aborted) && take_debt t then shed t req
           else if aborted then discard t req
-          else serve t ~last ~quiet req
+          else serve t req
         end
         else if aborted then discard t req
-        else serve t ~last ~quiet req;
+        else serve t req;
         buf.(i) <- Request.End (* drop the closure so the GC can reclaim it *)
       done;
-      flush_recycled t;
       (match t.sink with
       | Some s ->
         (* One span per drained batch (arg = batch size): the handler-side
@@ -654,14 +378,8 @@ let handler_loop t mailbox =
    request a client logs into a private queue, so it can only appear at
    the end of a drained batch — seeing it there means the queue is
    drained and abandoned by its client, and can be recycled immediately
-   (paper §3.2: queues are "taken from a cache of queues").
-
-   [quiet] probes the current private queue: with the batch in hand and
-   that queue empty, the handler has drained everything its current
-   client logged — the condition under which a pipelined fulfilment may
-   carry the drained hint.  Between registrations ([None]) the handler
-   is trivially quiet. *)
-let qoq_mailbox qoq cache =
+   (paper §3.2: queues are "taken from a cache of queues"). *)
+let qoq_mailbox qoq cache : mailbox =
   let current = ref None in
   let rec drain buf =
     match !current with
@@ -677,25 +395,10 @@ let qoq_mailbox qoq cache =
       | Request.End ->
         current := None;
         Qs_queues.Treiber_stack.push cache pq
-      | Request.Call _ | Request.Query _ | Request.Flat _ | Request.Sync _ ->
-        ());
+      | Request.Call _ | Request.Sync _ -> ());
       n
   in
-  let quiet () =
-    match !current with
-    | None -> true
-    | Some pq -> Qs_sched.Bqueue.Spsc.is_empty pq
-  in
-  { drain; quiet }
-
-let direct_mailbox q =
-  {
-    drain = (fun buf -> Qs_sched.Bqueue.Mpsc.drain q buf);
-    (* Lock mode has no per-registration stream; the whole request queue
-       stands in (conservative: another client's backlog masks the
-       hint, never the reverse). *)
-    quiet = (fun () -> Qs_sched.Bqueue.Mpsc.is_empty q);
-  }
+  drain
 
 let create ?sink ?pool ~id ~config ~stats () =
   Qs_obs.Counter.incr stats.Stats.processors;
@@ -730,17 +433,13 @@ let create ?sink ?pool ~id ~config ~stats () =
       exited = Qs_sched.Ivar.create ();
       pending = Atomic.make 0;
       shed_debt = Atomic.make 0;
-      recycle_buf =
-        (if config.Config.pooling then Array.make pool_cap 0 else [||]);
-      recycle_n = 0;
       h_now = 0;
-      flat_pool = make_pool config.Config.pooling;
     }
   in
   let mailbox =
     match comm with
     | Qoq { qoq; cache } -> qoq_mailbox qoq cache
-    | Direct { q; _ } -> direct_mailbox q
+    | Direct { q; _ } -> Qs_sched.Bqueue.Mpsc.drain q
     | Remote _ -> assert false (* [create] never builds a Remote comm *)
   in
   (* Pinning: a pooled handler fiber is spawned into its scheduler pool,
@@ -760,9 +459,7 @@ let create ?sink ?pool ~id ~config ~stats () =
 
 (* A remote processor: same [t], no handler fiber — the handler runs on
    the node.  The exit latch is pre-filled (there is nothing to await
-   locally; teardown of the connection is the runtime's job) and the
-   flat pool is disabled (remote registrations always use the packaged
-   wire representation). *)
+   locally; teardown of the connection is the runtime's job). *)
 let create_remote ?sink ~id ~config ~stats ~ops () =
   Qs_obs.Counter.incr stats.Stats.processors;
   {
@@ -781,10 +478,7 @@ let create_remote ?sink ~id ~config ~stats ~ops () =
     exited = Qs_sched.Ivar.create_full ();
     pending = Atomic.make 0;
     shed_debt = Atomic.make 0;
-    recycle_buf = [||];
-    recycle_n = 0;
     h_now = 0;
-    flat_pool = make_pool false;
   }
 
 let id t = t.id

@@ -43,11 +43,6 @@ type t = {
   proc : Processor.t;
   ctx : Ctx.t;
   enqueue : Request.t -> unit;
-  flat : bool;
-      (* may this registration issue pooled flat requests?  True for the
-         single-reservation (arity-named) entries, false for multi-
-         reservation blocks ([many]/[when_]), which keep the packaged
-         fallback *)
   mutable synced : bool;
   mutable closed : bool;
   mutable logged : int;
@@ -89,14 +84,13 @@ let poison t e bt =
     | None -> ()
   end
 
-let make ?(flat = false) ~proc ~ctx ~enqueue () =
+let make ~proc ~ctx ~enqueue () =
   let t =
     {
       rid = Atomic.fetch_and_add next_rid 1;
       proc;
       ctx;
       enqueue;
-      flat;
       synced = false;
       closed = false;
       logged = 0;
@@ -123,7 +117,6 @@ let make_remote ~proc ~ctx () =
       enqueue =
         (fun _ ->
           invalid_arg "Scoop.Registration: remote registration has no local queue");
-      flat = false;
       synced = false;
       closed = false;
       logged = 0;
@@ -135,18 +128,6 @@ let make_remote ~proc ~ctx () =
   t.fail_to <- poison t;
   px.Processor.px_on_poison t.fail_to;
   t
-
-(* Flat fast path available?  Requires a single-reservation registration
-   and the pooling knob. *)
-let use_flat t = t.flat && t.ctx.Ctx.config.Config.pooling
-
-(* Pop a record from the processor's pool; [Processor.no_flat] on a
-   miss, which sends the request down the packaged fallback (an empty
-   pool degrades to the baseline, never below it).  The processor
-   accounts the representation counters. *)
-let alloc_flat t = Processor.alloc_flat t.proc
-
-let no_flat = Processor.no_flat
 
 (* Lifecycle stamps.  [t_birth] is read once at operation entry; the
    second clock read for [t_admit] is only paid when admission can
@@ -185,44 +166,33 @@ let timed_out t =
   | None -> ());
   raise Qs_sched.Timer.Timeout
 
-(* Log an asynchronous call in the packaged-closure representation —
-   the fallback for multi-reservation registrations, disabled pooling,
-   and traced runs (the trace wraps [run] with span bookkeeping, which
-   needs the closure form). *)
-let log_call_packaged t ~birth ~admit run =
-  match t.ctx.Ctx.trace with
-  | None ->
-    t.enqueue
-      (Request.Call
-         {
-           run;
-           fail = t.fail_to;
-           kind = Request.K_call;
-           reg = t.rid;
-           t_birth = birth;
-           t_admit = admit;
-         })
-  | Some tr ->
-    (* Trace the queueing delay: logged now, executed by the handler
-       later (§7 instrumentation). *)
-    let proc = Processor.id t.proc in
-    let rid = t.rid in
-    Trace.record tr ~proc ~client:rid Trace.Call_logged;
-    let logged = Trace.now tr in
-    t.enqueue
-      (Request.Call
-         {
-           run =
-             (fun () ->
-               Trace.record tr ~proc ~client:rid
-                 (Trace.Call_executed (Trace.now tr -. logged));
-               run ());
-           fail = t.fail_to;
-           kind = Request.K_call;
-           reg = rid;
-           t_birth = birth;
-           t_admit = admit;
-         })
+(* Log an asynchronous call.  With tracing on, [run] is wrapped to record
+   the queueing delay: logged now, executed by the handler later (§7
+   instrumentation). *)
+let log_call t ~birth ~admit run =
+  let run =
+    match t.ctx.Ctx.trace with
+    | None -> run
+    | Some tr ->
+      let proc = Processor.id t.proc in
+      let rid = t.rid in
+      Trace.record tr ~proc ~client:rid Trace.Call_logged;
+      let logged = Trace.now tr in
+      fun () ->
+        Trace.record tr ~proc ~client:rid
+          (Trace.Call_executed (Trace.now tr -. logged));
+        run ()
+  in
+  t.enqueue
+    (Request.Call
+       {
+         run;
+         fail = t.fail_to;
+         kind = Request.K_call;
+         reg = t.rid;
+         t_birth = birth;
+         t_admit = admit;
+       })
 
 let call t f =
   touch t;
@@ -250,63 +220,7 @@ let call t f =
       (Qs_obs.Clock.now_ns () - birth)
   | None ->
     Processor.admit t.proc;
-    let admit = admit_stamp t birth in
-    let r =
-      if use_flat t && Option.is_none t.ctx.Ctx.trace then alloc_flat t
-      else no_flat
-    in
-    if r != no_flat then begin
-      (* Flat fast path: the thunk goes straight into the pooled record's
-         inline slot — no packaged record, no Call block, no per-call
-         failure closure.  [fail_to] is rewritten only when the record
-         last served a different registration. *)
-      r.Request.tag <- Request.Call0;
-      r.Request.f0 <- f;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      if r.Request.fail_to != t.fail_to then r.Request.fail_to <- t.fail_to;
-      t.enqueue r.Request.self
-    end
-    else log_call_packaged t ~birth ~admit f
-
-let call1 t f x =
-  touch t;
-  Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.calls;
-  t.synced <- false;
-  t.logged <- t.logged + 1;
-  let birth = Qs_obs.Clock.now_ns () in
-  match t.remote with
-  | Some px ->
-    (match t.ctx.Ctx.trace with
-    | Some tr ->
-      Trace.record tr ~proc:(Processor.id t.proc) ~client:t.rid
-        Trace.Call_logged
-    | None -> ());
-    px.Processor.px_call (fun () -> f x);
-    Qs_obs.Histogram.record t.ctx.Ctx.stats.Stats.h_call_remote
-      (Qs_obs.Clock.now_ns () - birth)
-  | None ->
-    Processor.admit t.proc;
-    let admit = admit_stamp t birth in
-    let r =
-      if use_flat t && Option.is_none t.ctx.Ctx.trace then alloc_flat t
-      else no_flat
-    in
-    if r != no_flat then begin
-      (* One-argument flat call: function and argument stored inline under
-         the uniform-representation coercion (the [f1]/[a1] pairing
-         invariant — both written here, from this one typed call site). *)
-      r.Request.tag <- Request.Call1;
-      r.Request.f1 <- (Obj.magic (f : _ -> unit) : Obj.t -> unit);
-      r.Request.a1 <- Obj.repr x;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      if r.Request.fail_to != t.fail_to then r.Request.fail_to <- t.fail_to;
-      t.enqueue r.Request.self
-    end
-    else log_call_packaged t ~birth ~admit (fun () -> f x)
+    log_call t ~birth ~admit:(admit_stamp t birth) f
 
 let force_sync ?timeout t =
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.syncs_sent;
@@ -374,68 +288,29 @@ let sync ?timeout t =
      and any failure among them recorded. *)
   check_poison t
 
-(* Tail of a packaged-flavour round trip, shared by the ivar and cell
-   representations: close the trace span, re-establish synced (the
-   handler has drained everything logged up to the query), surface an
-   earlier failed call (matching the client-executed flavour, where
-   [sync] raises before [f] ever runs), then unwrap. *)
-let finish_round_trip t ~t0 outcome =
-  (match t.ctx.Ctx.trace with
-  | Some tr ->
-    Trace.record tr ~proc:(Processor.id t.proc) ~client:t.rid
-      (Trace.Query_round_trip (Trace.now tr -. t0))
-  | None -> ());
-  t.synced <- true;
+(* Tail of a packaged round trip: close the trace span, re-establish
+   synced status, surface an earlier failed call (matching the
+   client-executed flavour, where [sync] raises before [f] ever runs),
+   then unwrap.  [served] says whether the handler reached the query and
+   ran it (to a value or to the body's own exception): only then has it
+   provably drained everything logged up to the query.  A rendezvous the
+   runtime rejected without running it — shed ([Overloaded]), discarded
+   by an abort ([Aborted]) or cut off with its connection
+   ([Connection_lost]) — proves nothing about the log, so it leaves the
+   synced status and the trace untouched. *)
+let finish_round_trip t ~t0 ~served outcome =
+  if served then begin
+    (match t.ctx.Ctx.trace with
+    | Some tr ->
+      Trace.record tr ~proc:(Processor.id t.proc) ~client:t.rid
+        (Trace.Query_round_trip (Trace.now tr -. t0))
+    | None -> ());
+    t.synced <- true
+  end;
   check_poison t;
   match outcome with
   | Ok v -> v
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-
-(* Blocking wait on a packaged query's heap ivar. *)
-let await_ivar ?timeout t result ~t0 =
-  let outcome =
-    match effective_timeout t timeout with
-    | None -> Qs_sched.Ivar.result result
-    | Some dt -> (
-      Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-      match Qs_sched.Ivar.result_timeout result dt with
-      | Some outcome -> outcome
-      | None ->
-        (* The packaged call stays logged and will still run; only the
-           rendezvous is abandoned.  No poisoning, no synced status. *)
-        timed_out t)
-  in
-  finish_round_trip t ~t0 outcome
-
-(* Blocking wait on a flat query's embedded cell.  On success the record
-   is recycled here — the awaiting client is the last party touching it,
-   after the outcome has been consumed.  On timeout the client abandons
-   the rendezvous by error-filling the cell at its generation: the
-   cell's CAS then elects exactly one recycler — if the abandon wins,
-   the handler's later fill fails and *it* recycles; if the handler
-   already filled, the handler is done with the record and the client
-   recycles on its way out.  Either way the slot returns to the pool
-   (an abandoned record must never be recycled by the abandoning side
-   alone: the handler might be about to run the query). *)
-let await_cell ?timeout t (r : Request.flat) ~gen ~t0 =
-  let outcome =
-    match effective_timeout t timeout with
-    | None -> Qs_sched.Cell.result r.Request.cell ~gen
-    | Some dt -> (
-      Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-      match Qs_sched.Cell.result_timeout r.Request.cell ~gen dt with
-      | Some outcome -> outcome
-      | None ->
-        let bt = Printexc.get_callstack 0 in
-        if
-          not
-            (Qs_sched.Cell.try_fill_error ~bt r.Request.cell ~gen
-               Qs_sched.Timer.Timeout)
-        then Processor.recycle_flat t.proc r;
-        timed_out t)
-  in
-  Processor.recycle_flat t.proc r;
-  Obj.obj (finish_round_trip t ~t0 outcome)
 
 (* Remote packaged query (Fig. 10a over the wire): the producer closure
    ships to the node; the demultiplexer fills the rendezvous with the
@@ -443,7 +318,9 @@ let await_cell ?timeout t (r : Request.flat) ~gen ~t0 =
    ignored for remote registrations — running the producer client-side
    is meaningless when the handler's state lives in the node's globals.
    The closure is shipped as-is (no trace wrapper: a wrapper would
-   capture the local trace buffer, which must not cross the wire). *)
+   capture the local trace buffer, which must not cross the wire).  A
+   node reply — a value or [Remote_error] — means the node served the
+   query; [Connection_lost] means no reply came. *)
 let remote_query ?timeout t px f =
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.packaged_queries;
   let t0 =
@@ -453,17 +330,19 @@ let remote_query ?timeout t px f =
   let timeout = effective_timeout t timeout in
   if Option.is_some timeout then
     Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
-  let outcome =
-    match px.Processor.px_query ~timeout f with
-    | v -> Ok v
-    | exception Qs_sched.Timer.Timeout ->
-      (* The wire request stays outstanding node-side and will still be
-         served; only the rendezvous is abandoned (same contract as the
-         local packaged flavour). *)
-      timed_out t
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  finish_round_trip t ~t0 outcome
+  match px.Processor.px_query ~timeout f with
+  | v -> finish_round_trip t ~t0 ~served:true (Ok v)
+  | exception Qs_sched.Timer.Timeout ->
+    (* The wire request stays outstanding node-side and will still be
+       served; only the rendezvous is abandoned (same contract as the
+       local packaged flavour). *)
+    timed_out t
+  | exception (Remote_proto.Connection_lost _ as e) ->
+    finish_round_trip t ~t0 ~served:false
+      (Error (e, Printexc.get_raw_backtrace ()))
+  | exception e ->
+    finish_round_trip t ~t0 ~served:true
+      (Error (e, Printexc.get_raw_backtrace ()))
 
 let query ?timeout t f =
   touch t;
@@ -501,90 +380,38 @@ let query ?timeout t f =
     t.logged <- t.logged + 1;
     Processor.admit t.proc;
     let admit = admit_stamp t birth in
-    let r = if use_flat t then alloc_flat t else no_flat in
-    if r != no_flat then begin
-      (* Flat round trip: the completion cell is embedded in the pooled
-         record — no ivar allocation, no result-filling closure. *)
-      let gen = Qs_sched.Cell.generation r.Request.cell in
-      r.Request.tag <- Request.Query0;
-      r.Request.cgen <- gen;
-      r.Request.q0 <- (Obj.magic (f : unit -> _) : unit -> Obj.t);
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      t.enqueue r.Request.self;
-      await_cell ?timeout t r ~gen ~t0
-    end
-    else begin
-      let result = Qs_sched.Ivar.create () in
-      t.enqueue
-        (Request.Call
-           {
-             run = (fun () -> Qs_sched.Ivar.fill result (f ()));
-             fail =
-               (fun e bt ->
-                 ignore (Qs_sched.Ivar.try_fill_error ~bt result e : bool));
-             kind = Request.K_query;
-             reg = t.rid;
-             t_birth = birth;
-             t_admit = admit;
-           });
-      await_ivar ?timeout t result ~t0
-    end
-  end
-
-let query1 ?timeout t f x =
-  touch t;
-  Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.queries;
-  match t.remote with
-  | Some px ->
-    Obj.obj (remote_query ?timeout t px (fun () -> Obj.repr (f x)))
-  | None ->
-  let birth = Qs_obs.Clock.now_ns () in
-  if t.ctx.Ctx.config.Config.client_query then begin
-    sync ?timeout t;
-    let v = f x in
-    Qs_obs.Histogram.record t.ctx.Ctx.stats.Stats.h_query_local
-      (Qs_obs.Clock.now_ns () - birth);
-    v
-  end
-  else begin
-    Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.packaged_queries;
-    let t0 =
-      match t.ctx.Ctx.trace with Some tr -> Trace.now tr | None -> 0.0
+    let result = Qs_sched.Ivar.create () in
+    (* Written by the handler before it fills [result]; read by this
+       fiber only after the fill has woken it. *)
+    let served = ref false in
+    t.enqueue
+      (Request.Call
+         {
+           run =
+             (fun () ->
+               served := true;
+               Qs_sched.Ivar.fill result (f ()));
+           fail =
+             (fun e bt ->
+               ignore (Qs_sched.Ivar.try_fill_error ~bt result e : bool));
+           kind = Request.K_query;
+           reg = t.rid;
+           t_birth = birth;
+           t_admit = admit;
+         });
+    let outcome =
+      match effective_timeout t timeout with
+      | None -> Qs_sched.Ivar.result result
+      | Some dt -> (
+        Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.timer_arms;
+        match Qs_sched.Ivar.result_timeout result dt with
+        | Some outcome -> outcome
+        | None ->
+          (* The packaged call stays logged and will still run; only the
+             rendezvous is abandoned.  No poisoning, no synced status. *)
+          timed_out t)
     in
-    t.logged <- t.logged + 1;
-    Processor.admit t.proc;
-    let admit = admit_stamp t birth in
-    let r = if use_flat t then alloc_flat t else no_flat in
-    if r != no_flat then begin
-      let gen = Qs_sched.Cell.generation r.Request.cell in
-      r.Request.tag <- Request.Query1;
-      r.Request.cgen <- gen;
-      r.Request.q1 <- (Obj.magic (f : _ -> _) : Obj.t -> Obj.t);
-      r.Request.a1 <- Obj.repr x;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      t.enqueue r.Request.self;
-      await_cell ?timeout t r ~gen ~t0
-    end
-    else begin
-      let result = Qs_sched.Ivar.create () in
-      t.enqueue
-        (Request.Call
-           {
-             run = (fun () -> Qs_sched.Ivar.fill result (f x));
-             fail =
-               (fun e bt ->
-                 ignore (Qs_sched.Ivar.try_fill_error ~bt result e : bool));
-             kind = Request.K_query;
-             reg = t.rid;
-             t_birth = birth;
-             t_admit = admit;
-           });
-      await_ivar ?timeout t result ~t0
-    end
+    finish_round_trip t ~t0 ~served:!served outcome
   end
 
 (* Promise-pipelined query (the deferred flavour of Fig. 10a): package
@@ -602,11 +429,20 @@ let query1 ?timeout t f x =
    the query invalidates [synced] exactly like a call, because the
    handler has pending work again.  Forcing the promise re-establishes
    [synced] — the handler has provably drained everything logged up to
-   the query — but only if nothing was logged through this registration
-   in between (checked via the [logged] watermark) and the block is
-   still open.  The [synced] write happens in the promise's force hook,
-   which runs on the forcing client fiber, never on the handler: the
-   field stays single-writer. *)
+   the query — but only if the handler actually served it ([served]:
+   set by the handler before it runs [f], or by the remote demultiplexer
+   on a node reply), nothing was logged through this registration in
+   between (checked via the [logged] watermark) and the block is still
+   open.  A shed, aborted or connection-lost promise rejects without
+   [served], so its force leaves [synced] alone.  The [synced] write
+   happens in the promise's force hook, which runs on the forcing client
+   fiber, never on the handler: the field stays single-writer.
+
+   With tracing on, the handler records the [Query_pipelined] span just
+   before it resolves a served promise, so the event precedes anything
+   the forcing client records afterwards (a completion callback would
+   run after the resolution and could land behind the client's next
+   event). *)
 let query_async t f =
   touch t;
   Qs_obs.Counter.incr t.ctx.Ctx.stats.Stats.queries;
@@ -618,104 +454,78 @@ let query_async t f =
   let trace = t.ctx.Ctx.trace in
   let proc = Processor.id t.proc in
   let rid = t.rid in
-  let dyn = t.ctx.Ctx.config.Config.dyn_sync in
-  (* The hook must consult the promise it belongs to (for the handler's
-     drained hint), so knot it through a slot. *)
-  let promise_slot = ref None in
+  let served = ref false in
   let on_force was_ready =
     Qs_obs.Counter.incr
       (if was_ready then stats.Stats.promises_ready
        else stats.Stats.promises_blocked);
-    if (not t.closed) && t.logged = mark then begin
-      t.synced <- true;
-      (* Dynamic handler-side sync elision (§3.4.1 generalized to
-         pipelined traffic): the handler saw a drained log at
-         fulfilment and the watermark proves nothing was logged
-         since, so this force doubles as the sync — the separate
-         round trip that would re-establish synced status is
-         skipped, and counted as elided. *)
-      match !promise_slot with
-      | Some p
-        when dyn && Qs_sched.Promise.was_drained p
-             && Atomic.get t.poison = None -> (
-        (* Never counted on a dirty registration: an elision there
-           would claim a sync the conformance model forbids — the
-           pending failure still has to surface at a real sync point. *)
-        Qs_obs.Counter.incr stats.Stats.syncs_elided;
-        match trace with
-        | Some tr -> Trace.record tr ~proc ~client:rid Trace.Sync_elided
-        | None -> ())
-      | _ -> ()
-    end
+    if !served && (not t.closed) && t.logged = mark then t.synced <- true
   in
-  let promise =
-    match t.remote with
-    | Some px ->
-      (* Remote pipelined query: the proxy ships the producer and hands
-         back the promise the demultiplexer will fulfil.  The drained
-         hint is not forwarded over the wire, so [was_drained] stays
-         false and forcing never elides a remote sync — conservative,
-         and correct.  The uniform-representation coercion mirrors the
-         flat [q0] pairing invariant: producer and promise are paired at
-         this one typed call site. *)
+  match t.remote with
+  | Some px ->
+    (* Remote pipelined query: the proxy ships the producer and hands
+       back the promise the demultiplexer will fulfil.  The uniform-
+       representation coercion pairs producer and promise at this one
+       typed call site. *)
+    let promise =
       (Obj.magic
          (px.Processor.px_query_async
             (Obj.magic (f : unit -> _) : unit -> Obj.t)
-            ~on_force)
+            ~served ~on_force)
         : _ Qs_sched.Promise.t)
-    | None -> Qs_sched.Promise.create ~on_force ()
-  in
-  promise_slot := Some promise;
-  (match trace with
-  | Some tr ->
-    (* Span from issue to fulfilment: the handler-side pipeline latency,
-       recorded by the fulfilling handler via the completion callback. *)
-    let t0 = Trace.now tr in
-    Qs_sched.Promise.on_fulfill promise (fun _ ->
-      Trace.record tr ~proc ~client:rid
-        (Trace.Query_pipelined (Trace.now tr -. t0)))
-  | None -> ());
-  (match t.remote with
-  | Some _ -> () (* already shipped through the proxy, which stamps and
-                    records the wire round trip itself *)
+    in
+    (match trace with
+    | Some tr ->
+      let t0 = Trace.now tr in
+      Qs_sched.Promise.on_resolve promise (fun _ ->
+        if !served then
+          Trace.record tr ~proc ~client:rid
+            (Trace.Query_pipelined (Trace.now tr -. t0)))
+    | None -> ());
+    promise
   | None ->
+    let promise = Qs_sched.Promise.create ~on_force () in
     let birth = Qs_obs.Clock.now_ns () in
     Processor.admit t.proc;
     let admit = admit_stamp t birth in
-    let r = if use_flat t then alloc_flat t else no_flat in
-    if r != no_flat then begin
-      (* Flat pipelined query: producer and promise stored inline; the
-         handler decodes the tag, fulfils the promise (recording the
-         drained hint first) and recycles the record itself — the promise,
-         not the record, is the client's rendezvous. *)
-      r.Request.tag <- Request.Pipelined;
-      r.Request.q0 <- (Obj.magic (f : unit -> _) : unit -> Obj.t);
-      r.Request.pr <- Obj.repr promise;
-      r.Request.reg <- t.rid;
-      r.Request.t_birth <- birth;
-      r.Request.t_admit <- admit;
-      t.enqueue r.Request.self
-    end
-    else
-      t.enqueue
-        (Request.Query
-           {
-             run = (fun () -> Qs_sched.Promise.fulfill promise (f ()));
-             fail =
-               (fun e bt ->
-                 Qs_obs.Counter.incr stats.Stats.rejected_promises;
-                 (match trace with
-                 | Some tr ->
-                   Trace.record tr ~proc ~client:rid Trace.Promise_rejected
-                 | None -> ());
-                 ignore
-                   (Qs_sched.Promise.try_fulfill_error ~bt promise e : bool));
-             kind = Request.K_pipelined;
-             reg = rid;
-             t_birth = birth;
-             t_admit = admit;
-           }));
-  promise
+    let run, fail =
+      match trace with
+      | None ->
+        ( (fun () ->
+            served := true;
+            Qs_sched.Promise.fulfill promise (f ())),
+          fun e bt ->
+            Qs_obs.Counter.incr stats.Stats.rejected_promises;
+            ignore (Qs_sched.Promise.try_fulfill_error ~bt promise e : bool) )
+      | Some tr ->
+        let t0 = Trace.now tr in
+        let pipelined () =
+          Trace.record tr ~proc ~client:rid
+            (Trace.Query_pipelined (Trace.now tr -. t0))
+        in
+        ( (fun () ->
+            served := true;
+            let v = f () in
+            pipelined ();
+            Qs_sched.Promise.fulfill promise v),
+          fun e bt ->
+            Qs_obs.Counter.incr stats.Stats.rejected_promises;
+            (* A body that raised was served: its rendezvous counts. *)
+            if !served then pipelined ();
+            Trace.record tr ~proc ~client:rid Trace.Promise_rejected;
+            ignore (Qs_sched.Promise.try_fulfill_error ~bt promise e : bool) )
+    in
+    t.enqueue
+      (Request.Call
+         {
+           run;
+           fail;
+           kind = Request.K_pipelined;
+           reg = rid;
+           t_birth = birth;
+           t_admit = admit;
+         });
+    promise
 
 (* Block exit: append the END marker in both modes (the end rule).  In
    queue-of-queues mode it makes the handler recycle the private queue and

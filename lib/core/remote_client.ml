@@ -27,10 +27,15 @@ module SQ = Qs_remote.Socket_queue
 
 type pending =
   | Blocked of Obj.t Qs_sched.Ivar.t (* a blocking query's rendezvous *)
-  | Promised of { p : Obj.t Qs_sched.Promise.t; birth : int }
+  | Promised of {
+      p : Obj.t Qs_sched.Promise.t;
+      birth : int;
+      served : bool ref;
+    }
       (* a pipelined query's promise, with its issue stamp (ns) so the
          demultiplexer can fold the wire round trip into the remote
-         pipelined latency histogram at fulfilment *)
+         pipelined latency histogram at fulfilment, and the flag it sets
+         when a node reply (not a lost connection) resolves it *)
 
 type conn = {
   label : string; (* "unix:..." / "tcp:...", for errors and stats *)
@@ -124,9 +129,10 @@ let handle conn = function
         p)
     with
     | Some (Blocked iv) -> ignore (Qs_sched.Ivar.try_fill iv v : bool)
-    | Some (Promised { p; birth }) ->
+    | Some (Promised { p; birth; served }) ->
       Qs_obs.Histogram.record conn.stats.Stats.h_pipelined_remote
         (Qs_obs.Clock.now_ns () - birth);
+      served := true;
       ignore (Qs_sched.Promise.try_fulfill p v : bool)
     | None -> () (* rendezvous abandoned (timed out) — drop the late result *))
   | Rfailed { qid; msg } -> (
@@ -138,10 +144,11 @@ let handle conn = function
         p)
     with
     | Some (Blocked iv) -> ignore (Qs_sched.Ivar.try_fill_error iv e : bool)
-    | Some (Promised { p; birth }) ->
+    | Some (Promised { p; birth; served }) ->
       (* A failed round trip is still a completed one: fold it in. *)
       Qs_obs.Histogram.record conn.stats.Stats.h_pipelined_remote
         (Qs_obs.Clock.now_ns () - birth);
+      served := true;
       ignore (Qs_sched.Promise.try_fulfill_error p e : bool)
     | None -> ())
   | Rsynced { sid } -> (
@@ -221,7 +228,7 @@ let open_reg conn ~proc =
       with_lock conn (fun () -> Hashtbl.remove conn.pending qid);
       raise Qs_sched.Timer.Timeout
   in
-  let px_query_async f ~on_force =
+  let px_query_async f ~served ~on_force =
     Qs_obs.Counter.incr stats.Stats.remote_requests;
     let birth = Qs_obs.Clock.now_ns () in
     let qid = Atomic.fetch_and_add conn.next_qid 1 in
@@ -232,7 +239,7 @@ let open_reg conn ~proc =
           (Qs_sched.Promise.try_fulfill_error p
              (Remote_proto.Connection_lost conn.label)
             : bool)
-      else Hashtbl.replace conn.pending qid (Promised { p; birth }));
+      else Hashtbl.replace conn.pending qid (Promised { p; birth; served }));
     if not (Qs_sched.Promise.is_resolved p) then begin
       try send conn (Remote_proto.Rquery { reg; qid; f })
       with e ->

@@ -1,33 +1,20 @@
 (** Requests exchanged between clients and handlers.
 
-    The runtime counterpart of the statement syntax in paper §2.3, in
-    two representations:
-
-    - {e packaged}: a heap closure per request plus a typed failure
-      completion — the general fallback (any arity, trace-wrapped runs,
-      multi-reservation blocks).  [Call] is an asynchronous packaged
-      call, [Query] a packaged promise-pipelined query.
-
-    - {e flat}: a preallocated pooled record ([Flat]) for the hot
-      shapes — 0/1-argument calls, blocking queries and pipelined
-      queries — with the function and argument stored inline, a
-      generation-stamped completion cell embedded for the record's
-      whole life, and a knotted [self] constructor so issuing a request
-      allocates nothing.  One-argument payloads are [Obj.t] under the
-      uniform-representation coercion; the pairing invariant (fields
-      written together from one typed call site, reset before reuse) is
-      kept by [Registration] and the coercions never escape the
-      core request path.
+    The runtime counterpart of the statement syntax in paper §2.3.  Work
+    travels in one representation, the {e packaged} form: a heap closure
+    per request plus a typed failure completion (the libffi call block
+    of paper Fig. 9).  [Call] carries asynchronous calls, blocking
+    queries and promise-pipelined queries alike; {!kind} tells them
+    apart.
 
     [Sync] is the wait/release pair of the (client-executed) query
     protocol; [End] the end-of-registration marker a client appends
     when its separate block closes. *)
 
 type kind = K_call | K_query | K_pipelined
-(** Request class for per-class latency accounting.  Packaged blocking
-    queries ship as [Call] blocks (the closure fills the client's
-    ivar), so the constructor alone cannot tell a call from a blocking
-    query — the kind can. *)
+(** Request class: selects the per-class latency histogram, and lets
+    the handler tell a pipelined fulfilment ([promises_fulfilled]) and a
+    query shed ([Query_shed]) from their call counterparts. *)
 
 type packaged = {
   run : unit -> unit;
@@ -38,42 +25,6 @@ type packaged = {
   mutable t_admit : int;  (** ns stamp after backpressure admission *)
 }
 
-type tag = Free | Call0 | Call1 | Query0 | Query1 | Pipelined
-
-type flat = {
-  mutable gen : int;
-  mutable tag : tag;
-  mutable f0 : unit -> unit;
-  mutable f1 : Obj.t -> unit;
-  mutable q0 : unit -> Obj.t;
-  mutable q1 : Obj.t -> Obj.t;
-  mutable a1 : Obj.t;
-  mutable pr : Obj.t;
-  cell : Obj.t Qs_sched.Cell.t;
-  mutable cgen : int;
-  mutable fail_to : exn -> Printexc.raw_backtrace -> unit;
-  mutable self : t;
-  mutable slot : int;
-  mutable reg : int;  (** issuing registration id, stamped per issue *)
-  mutable t_birth : int;
-  mutable t_admit : int;
-}
-
-and t =
-  | Call of packaged
-  | Query of packaged
-  | Flat of flat
-  | Sync of Qs_sched.Sched.resumer
-  | End
-
-val make_flat : unit -> flat
-(** A fresh flat record (tag [Free], nop fields, embedded cell at
-    generation 0) with [self] knotted to its own [Flat] block. *)
-
-val reset_flat : flat -> unit
-(** Reset to tag [Free] for return to the pool: drops captured
-    references, bumps [gen], recycles the embedded cell (stale awaiters
-    of the previous use get [Cell.Stale]) and refreshes [cgen]. *)
+type t = Call of packaged | Sync of Qs_sched.Sched.resumer | End
 
 val pp : Format.formatter -> t -> unit
-val pp_tag : Format.formatter -> tag -> unit

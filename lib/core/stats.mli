@@ -16,15 +16,6 @@ type t = {
   calls : Qs_obs.Counter.t;
   queries : Qs_obs.Counter.t;
   packaged_queries : Qs_obs.Counter.t;
-  requests_flat : Qs_obs.Counter.t;
-      (** requests issued in the pooled flat representation (no closure
-          packaging) rather than as heap-packaged closures *)
-  requests_pooled : Qs_obs.Counter.t;
-      (** flat request records reused from a processor's free list *)
-  pool_misses : Qs_obs.Counter.t;
-      (** flat request records freshly allocated because the free list
-          was empty (pool warm-up, or more requests in flight than the
-          pool cap) *)
   promises_created : Qs_obs.Counter.t;
       (** pipelined queries issued ({!Registration.query_async}) *)
   promises_fulfilled : Qs_obs.Counter.t;
@@ -119,8 +110,10 @@ type snapshot = {
   s_queries : int;
   s_packaged_queries : int;
   s_requests_flat : int;
-  s_requests_pooled : int;
-  s_pool_misses : int;
+      (** Always [0].  Requests travel in one (packaged) representation
+          since the pooled flat path was removed; the field stays so
+          readers of the old pool metrics keep building. *)
+  s_pool_misses : int;  (** Always [0], as {!field-s_requests_flat}. *)
   s_promises_created : int;
   s_promises_fulfilled : int;
   s_promises_ready : int;

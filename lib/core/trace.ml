@@ -17,7 +17,8 @@
 
    Kind <-> sink mapping (track = target processor id, arg = issuing
    registration id — the attribution field conformance checking
-   partitions on; 0 when the emitter has no registration in hand):
+   partitions on; every SCOOP-level emitter, handler side included,
+   has one in hand, so 0 never names a registration):
      Reserved            -> instant  client/reserve
      Call_logged         -> instant  client/call_log
      Call_executed d     -> complete core/call_exec     (dur = d)

@@ -44,9 +44,10 @@ type event = {
   proc : int;
   client : int;
       (** issuing registration id ([Registration.rid]) — the attribution
-          conformance checking partitions on; [0] when the emitting code
-          path had no registration in hand (scheduler- or handler-global
-          events) *)
+          conformance checking partitions on.  Every event kind is
+          attributed, handler-side ones included (the request carries
+          its registration id); [0] marks a trace recorded without
+          attribution *)
   seq : int;  (** global sink record order, for pinpointing ring slots *)
   kind : kind;
 }

@@ -7,7 +7,9 @@
    [tail], the consumer owns [head], and the only shared edge is the
    [next] pointer of the producer's last node, which is an [Atomic] so that
    the node's payload is published to the consumer (release on
-   [Atomic.set], acquire on [Atomic.get]). *)
+   [Atomic.set], acquire on [Atomic.get]).  The producer role may pass
+   from one client to the next through the consumer (queue reuse), so
+   everything the producer owns is written before that release. *)
 
 type 'a node = {
   mutable value : 'a option;
@@ -37,9 +39,16 @@ let create () =
 let push t v =
   if Atomic.get t.closed then raise Mailbox.Closed;
   let n = make_node (Some v) in
-  Atomic.set t.tail.next (Some n);
+  let last = t.tail in
+  (* Advance [tail] before publishing the link: a consumer that sees [n]
+     may hand the queue to a new producer (the qoq queue cache recycles a
+     private queue once its [End] is drained), which must then find
+     [tail = n].  Writing [tail] after the publication let a preempted
+     producer leave the next one linking onto the node before [n], so the
+     consumer waited forever on [n.next]. *)
   t.tail <- n;
-  Atomic.incr t.pushed
+  Atomic.incr t.pushed;
+  Atomic.set last.next (Some n)
 
 let pop t =
   match Atomic.get t.head.next with

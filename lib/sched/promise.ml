@@ -38,23 +38,12 @@ type 'a t = {
   ivar : 'a Ivar.t;
   on_force : (bool -> unit) option Atomic.t;
       (* argument: was the value already resolved when first observed *)
-  mutable drained : bool;
-      (* handler-side hint: at fulfilment time the registration's
-         private queue held no later requests.  Written (at most once,
-         by the fulfilling handler) strictly before the resolution CAS,
-         read by a forcing client strictly after it — the ivar's
-         resolution is the release/acquire edge, so no atomics are
-         needed here. *)
 }
 
 let create ?on_force () =
-  { ivar = Ivar.create (); on_force = Atomic.make on_force; drained = false }
+  { ivar = Ivar.create (); on_force = Atomic.make on_force }
 
-let of_value v =
-  { ivar = Ivar.create_full v; on_force = Atomic.make None; drained = false }
-
-let mark_drained t = t.drained <- true
-let was_drained t = t.drained
+let of_value v = { ivar = Ivar.create_full v; on_force = Atomic.make None }
 
 let fulfill t v = Ivar.fill t.ivar v
 let try_fulfill t v = Ivar.try_fill t.ivar v
@@ -111,7 +100,12 @@ let try_read t =
    and force lazily (propagating the observation to every component, so
    registration synced-status bookkeeping sees the rendezvous).  The
    first component to reject wins: the combined promise rejects with
-   that exception, even if other components are still pending. *)
+   that exception, even if other components are still pending.  A
+   component still pending when the combined promise is forced has not
+   been observed, so its hook stays armed for its own later force. *)
+
+let fire_if_resolved t ~was_ready =
+  if is_resolved t then fire_force t ~was_ready
 
 let map f t =
   let p = create ~on_force:(fun was_ready -> fire_force t ~was_ready) () in
@@ -129,8 +123,8 @@ let both a b =
   let p =
     create
       ~on_force:(fun was_ready ->
-        fire_force a ~was_ready;
-        fire_force b ~was_ready)
+        fire_if_resolved a ~was_ready;
+        fire_if_resolved b ~was_ready)
       ()
   in
   let remaining = Atomic.make 2 in
@@ -154,7 +148,7 @@ let all ps =
     let p =
       create
         ~on_force:(fun was_ready ->
-          List.iter (fun q -> fire_force q ~was_ready) ps)
+          List.iter (fun q -> fire_if_resolved q ~was_ready) ps)
         ()
     in
     let remaining = Atomic.make (List.length ps) in

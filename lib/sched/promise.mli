@@ -63,20 +63,6 @@ val is_resolved : 'a t -> bool
 
 val is_rejected : 'a t -> bool
 
-val mark_drained : 'a t -> unit
-(** Handler-side hint, set by the SCOOP handler loop just before
-    fulfilment when the registration's private queue held no requests
-    after this query — i.e. the client's log showed no later calls at
-    the moment the result was produced.  Must only be called by the
-    (single) fulfiller, before the fulfilling write; the resolution
-    itself publishes the flag to forcing clients. *)
-
-val was_drained : 'a t -> bool
-(** Whether {!mark_drained} was recorded before resolution.  Meaningful
-    only after the promise resolved (read it from an [on_force] hook or
-    after a successful {!await}); the SCOOP client uses it to elide the
-    separate sync round trip when re-establishing synced status. *)
-
 val on_fulfill : 'a t -> ('a -> unit) -> unit
 (** [on_fulfill t f] runs [f v] once [t] resolves to [v] — immediately
     if already resolved, otherwise in the fulfiller's context (for
@@ -92,10 +78,11 @@ val on_resolve : 'a t -> (('a, exn * Printexc.raw_backtrace) result -> unit) -> 
 
     Results resolve eagerly as components resolve; forcing a combined
     promise propagates the force (and its readiness flag) to every
-    component, so registration synced-status bookkeeping observes the
-    underlying rendezvous.  Rejection propagates: the first component
-    to reject (or, for {!map}, an [f] that raises) rejects the result
-    with that exception. *)
+    resolved component, so registration synced-status bookkeeping
+    observes the underlying rendezvous.  Rejection propagates: the first
+    component to reject (or, for {!map}, an [f] that raises) rejects the
+    result with that exception; a component still pending at that force
+    keeps its hook for its own later force. *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t
 (** [map f t] resolves to [f v] when [t] resolves to [v] ([f] runs in

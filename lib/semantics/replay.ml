@@ -6,13 +6,13 @@
    known to have executed or shed, whether the synced status currently
    holds, and whether the registration is dirty (a failure completion
    was delivered — poison — or a request was shed).  The checked
-   properties are the ones the pooled flat request path, the dynamic
-   sync elision and the PR 4–5 failure paths could plausibly break:
+   properties are the ones request recycling or reordering, the
+   dynamic sync elision and the timeout/shed/poison failure paths could
+   plausibly break:
 
    - execution order: a handler must never execute more calls than were
-     logged minus those shed (a recycled record served twice, served
-     before its enqueue, or served after having been shed, shows up
-     here);
+     logged minus those shed (a request served twice, served before its
+     enqueue, or served after having been shed, shows up here);
    - shed accounting: a shed must consume a logged-but-unexecuted slot;
    - elision legality: a skipped sync round trip must coincide with the
      synced state on a clean registration — an elision on a dirty
@@ -133,8 +133,9 @@ let check_all events =
            logged between issue and fulfilment legitimately precede this
            event while still unexecuted, so the executed watermark must
            not be clamped here.  The synced state is established — the
-           runtime only counts the force as a sync when its logged
-           watermark is unchanged since issue. *)
+           runtime records this event only for a query its handler
+           served, and re-establishes synced status on force only when
+           its logged watermark is unchanged since issue. *)
         s.synced <- true
       | Elided _ ->
         if s.dirty then

@@ -324,7 +324,8 @@ let print_runtime_program (preset, bounded, deadline, clients, ops) =
             | `Failing_call -> "fail")
           ops))
 
-let run_random_program (preset, bounded, deadline, clients, ops) =
+let run_random_program ?(domains = 2) (preset, bounded, deadline, clients, ops)
+    =
   let config =
     match preset with
     | "none" -> Cfg.none
@@ -338,7 +339,7 @@ let run_random_program (preset, bounded, deadline, clients, ops) =
     else config
   in
   let sink = Qs_obs.Sink.create () in
-  R.run ~domains:2 ~config ~obs:sink (fun rt ->
+  R.run ~domains ~config ~obs:sink (fun rt ->
     let h = R.processor rt in
     let r = ref 0 in
     let latch = Qs_sched.Latch.create clients in
@@ -369,15 +370,53 @@ let run_random_program (preset, bounded, deadline, clients, ops) =
         Qs_sched.Latch.count_down latch)
     done;
     Qs_sched.Latch.wait latch);
-  Qs_conform.check_trace (T.of_sink sink)
+  T.of_sink sink
+
+(* Every SCOOP-level event — checkable or skipped — names the
+   registration it belongs to; [client = 0] would mean an emitter lost
+   the attribution the per-registration partitioning relies on. *)
+let unattributed tr =
+  List.filter (fun (e : T.event) -> e.T.client = 0) (T.events tr)
 
 let prop_random_runs_conform =
   QCheck2.Test.make ~count:25
     ~name:"random traced runs replay with zero violations"
     ~print:print_runtime_program gen_runtime_program (fun program ->
-      match run_random_program program with
+      let tr = run_random_program program in
+      (match unattributed tr with
+      | [] -> ()
+      | e :: _ ->
+        QCheck2.Test.fail_reportf "unattributed event on processor %d (seq %d)"
+          e.T.proc e.T.seq);
+      match Qs_conform.check_trace tr with
       | Ok rep -> rep.Qs_conform.violations = []
-      | Error _ -> false)
+      | Error e ->
+        QCheck2.Test.fail_reportf "%s"
+          (Format.asprintf "%a" Qs_conform.pp_error e))
+
+(* The program the property once shrank to: three clients on a handler
+   bounded at two pending requests under [`Shed_oldest], each forcing a
+   pipelined query and then querying.  A shed pipelined query used to
+   re-establish the synced status on force, so the next query's sync was
+   elided although the handler never served the promise — a violation
+   in every run at one domain.  Replayed 100 times per domain count. *)
+let test_shed_pipelined_regression domains () =
+  let program = ("all", true, None, 3, [ `Pipelined; `Query ]) in
+  for run = 1 to 100 do
+    let tr = run_random_program ~domains program in
+    (match unattributed tr with
+    | [] -> ()
+    | e :: _ ->
+      Alcotest.failf "run %d: unattributed event on processor %d (seq %d)" run
+        e.T.proc e.T.seq);
+    match Qs_conform.check_trace tr with
+    | Ok rep when rep.Qs_conform.violations = [] -> ()
+    | Ok rep ->
+      Alcotest.failf "run %d: %s" run
+        (Format.asprintf "%a" Qs_conform.pp_report rep)
+    | Error e ->
+      Alcotest.failf "run %d: %s" run (Format.asprintf "%a" Qs_conform.pp_error e)
+  done
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -404,6 +443,13 @@ let () =
             test_skipped_kinds_counted;
           Alcotest.test_case "hand-broken trace flagged" `Quick
             test_broken_trace_flagged;
+        ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "shed pipelined query, 1 domain" `Quick
+            (test_shed_pipelined_regression 1);
+          Alcotest.test_case "shed pipelined query, 2 domains" `Quick
+            (test_shed_pipelined_regression 2);
         ] );
       ("properties", [ qc prop_random_runs_conform ]);
     ]

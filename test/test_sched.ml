@@ -375,6 +375,19 @@ let test_promise_combinators_rejection () =
     (match Promise.await pair with
     | (_ : int * int) -> Alcotest.fail "both must reject"
     | exception Boom -> ());
+    (* A component still pending when the rejected pair is forced was
+       not observed: its hook waits for its own force. *)
+    let b_forced = ref 0 in
+    let a = Promise.create ()
+    and b = Promise.create ~on_force:(fun _ -> incr b_forced) () in
+    Promise.fulfill_error a Boom;
+    (match Promise.await (Promise.both a b) with
+    | (_ : int * int) -> Alcotest.fail "both must reject"
+    | exception Boom -> ());
+    check_int "pending component's hook not fired" 0 !b_forced;
+    Promise.fulfill b 2;
+    check_int "pending component's own value" 2 (Promise.await b);
+    check_int "its hook fires on its own force" 1 !b_forced;
     (* all: one rejection rejects the aggregate even with the rest Ok. *)
     let ps = List.init 4 (fun _ -> Promise.create ()) in
     let every = Promise.all ps in
@@ -407,6 +420,75 @@ let test_promise_multi_domain_readers () =
   in
   check_int "all readers woke" (5 * readers) total;
   check_int "hook fired exactly once" 1 forces
+
+let test_promise_timed_out_await () =
+  (* A timed-out await is not a rendezvous: the promise stays pending,
+     the force hook stays armed, and a later await completes normally
+     and fires the hook then. *)
+  let fired, v =
+    S.run (fun () ->
+      let fired = ref [] in
+      let p = Promise.create ~on_force:(fun r -> fired := r :: !fired) () in
+      (match Promise.await ~timeout:0.01 p with
+      | (_ : int) -> Alcotest.fail "expected Timeout"
+      | exception Qs_sched.Timer.Timeout -> ());
+      check_bool "still pending" false (Promise.is_resolved p);
+      Alcotest.(check (list bool)) "hook not fired" [] !fired;
+      S.spawn (fun () -> Promise.fulfill p 4);
+      let v = Promise.await ~timeout:60.0 p in
+      (!fired, v))
+  in
+  check_int "later await completes" 4 v;
+  Alcotest.(check (list bool)) "hook fired once, blocked" [ false ] fired
+
+let test_promise_resolved_never_times_out () =
+  (* A resolved promise answers a zero-timeout await at once, and that
+     is a rendezvous on a ready value. *)
+  S.run (fun () ->
+    let fired = ref [] in
+    let p = Promise.create ~on_force:(fun r -> fired := r :: !fired) () in
+    Promise.fulfill p 6;
+    check_int "value" 6 (Promise.await ~timeout:0.0 p);
+    Alcotest.(check (list bool)) "hook fired once, ready" [ true ] !fired)
+
+let test_promise_on_resolve () =
+  (* [on_resolve] observes both outcomes; [on_fulfill] only values. *)
+  S.run (fun () ->
+    let seen = ref [] in
+    let record = function
+      | Ok v -> seen := Printf.sprintf "ok %d" v :: !seen
+      | Error (e, _) -> seen := Printexc.to_string e :: !seen
+    in
+    let fulfilled = ref 0 in
+    let ok = Promise.create () and bad = Promise.create () in
+    Promise.on_resolve ok record;
+    Promise.on_resolve bad record;
+    Promise.on_fulfill bad (fun (_ : int) -> incr fulfilled);
+    Promise.fulfill ok 3;
+    Promise.fulfill_error bad Boom;
+    (* Registered after resolution: runs immediately. *)
+    Promise.on_resolve ok record;
+    Alcotest.(check (list string))
+      "both outcomes, in order"
+      [ "ok 3"; Printexc.to_string Boom; "ok 3" ]
+      (List.rev !seen);
+    check_int "on_fulfill skips a rejection" 0 !fulfilled)
+
+let test_promise_timeout_races_fulfil () =
+  (* A short-timeout await racing a fulfiller on another domain never
+     loses the value: either it arrives in time, or the timeout fires
+     and the next await returns it. *)
+  S.run ~domains:2 (fun () ->
+    for i = 1 to 200 do
+      let p = Promise.create () in
+      S.spawn (fun () -> Promise.fulfill p i);
+      let v =
+        match Promise.await ~timeout:0.0001 p with
+        | v -> v
+        | exception Qs_sched.Timer.Timeout -> Promise.await ~timeout:60.0 p
+      in
+      check_int "value" i v
+    done)
 
 (* -- latch -------------------------------------------------------------------- *)
 
@@ -652,6 +734,32 @@ let prop_spawn_all_run =
           S.spawn (fun () -> Atomic.incr hits)
         done);
       Atomic.get hits = n)
+
+let prop_promise_one_resolver_wins =
+  QCheck2.Test.make ~count:30 ~name:"promise: exactly one resolver wins"
+    QCheck2.Gen.(int_range 2 12)
+    (fun n ->
+      S.run ~domains:2 (fun () ->
+        let p = Promise.create () in
+        let wins = Atomic.make 0 in
+        let latch = Latch.create n in
+        for i = 1 to n do
+          S.spawn (fun () ->
+            let won =
+              if i mod 2 = 0 then Promise.try_fulfill p i
+              else Promise.try_fulfill_error p (Failure (string_of_int i))
+            in
+            if won then Atomic.incr wins;
+            Latch.count_down latch)
+        done;
+        Latch.wait latch;
+        let outcome () =
+          match Promise.await p with
+          | v -> v
+          | exception Failure s -> - int_of_string s
+        in
+        let first = outcome () in
+        Atomic.get wins = 1 && first <> 0 && outcome () = first))
 
 (* -- timers and timeouts ---------------------------------------------------- *)
 
@@ -927,163 +1035,6 @@ let test_pool_counters_assoc_shape () =
   check_bool "per-pool hot" true (has "pool.hot.workers");
   check_bool "empty outside a scheduler" true (S.current_pool_counters () = [])
 
-(* -- generation-stamped cells ------------------------------------------------ *)
-
-module Cell = Qs_sched.Cell
-
-let test_cell_roundtrip () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let gen = Cell.generation c in
-    check_int "fresh generation" 0 gen;
-    check_bool "fill" true (Cell.try_fill c ~gen 41);
-    check_bool "double fill refused" false (Cell.try_fill c ~gen 42);
-    (match Cell.result c ~gen with
-    | Ok v -> check_int "value" 41 v
-    | Error _ -> Alcotest.fail "expected Ok");
-    Cell.recycle c;
-    check_int "generation bumped" 1 (Cell.generation c);
-    let gen = Cell.generation c in
-    check_bool "refill after recycle" true (Cell.try_fill c ~gen 7);
-    check_int "next generation's value" 7 (Cell.read c ~gen))
-
-let test_cell_error () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let gen = Cell.generation c in
-    check_bool "error fill" true (Cell.try_fill_error c ~gen Exit);
-    (match Cell.result c ~gen with
-    | Error (Exit, _) -> ()
-    | _ -> Alcotest.fail "expected Error Exit");
-    check_bool "read re-raises" true
-      (try
-         ignore (Cell.read c ~gen : int);
-         false
-       with Exit -> true))
-
-let test_cell_stale_read () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let old = Cell.generation c in
-    check_bool "fill old" true (Cell.try_fill c ~gen:old 1);
-    Cell.recycle c;
-    let gen = Cell.generation c in
-    check_bool "fill new" true (Cell.try_fill c ~gen 2);
-    (* A reader still holding the recycled generation must never see the
-       new generation's value. *)
-    check_bool "stale result raises" true
-      (try
-         ignore (Cell.result c ~gen:old : int Cell.outcome);
-         false
-       with Cell.Stale -> true);
-    check_bool "stale peek raises" true
-      (try
-         ignore (Cell.peek_result c ~gen:old : int Cell.outcome option);
-         false
-       with Cell.Stale -> true);
-    (* The current generation still reads its own value. *)
-    check_int "current generation unaffected" 2 (Cell.read c ~gen))
-
-let test_cell_stale_while_empty () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let old = Cell.generation c in
-    check_bool "fill+consume" true (Cell.try_fill c ~gen:old 1);
-    Cell.recycle c;
-    (* Recycled but not yet refilled: a stale reader must raise, not
-       block forever waiting for a generation that is over. *)
-    check_bool "stale read of empty next gen" true
-      (try
-         ignore (Cell.result c ~gen:old : int Cell.outcome);
-         false
-       with Cell.Stale -> true))
-
-let test_cell_timeout_abandon () =
-  S.run (fun () ->
-    let c : int Cell.t = Cell.create () in
-    let gen = Cell.generation c in
-    check_bool "times out unfilled" true
-      (Cell.result_timeout c ~gen 0.02 = None);
-    (* The abandon protocol: the timed-out reader error-fills; the late
-       real fill then fails, telling the filler the rendezvous is dead. *)
-    check_bool "abandon fill wins" true (Cell.try_fill_error c ~gen Exit);
-    check_bool "late real fill loses" false (Cell.try_fill c ~gen 9))
-
-(* The qcheck property behind the pooled request path: across an
-   arbitrary sequence of generations with an awaiter each, every awaiter
-   either reads exactly its own generation's value or observes [Stale] —
-   a recycled cell is never observed by a stale awaiter.  Readers are
-   spawned concurrently and the owner recycles as soon as the value is
-   consumed, across 4 domains to give stale wake-ups a chance. *)
-let prop_cell_generations =
-  QCheck2.Test.make ~count:30 ~name:"cell: stale awaiter never sees a value"
-    QCheck2.Gen.(int_range 1 40)
-    (fun gens ->
-      S.run ~domains:4 (fun () ->
-        let c : int Cell.t = Cell.create () in
-        let ok = Atomic.make true in
-        let mism = Atomic.make 0 in
-        for g = 0 to gens - 1 do
-          let gen = Cell.generation c in
-          if gen <> g then Atomic.set ok false;
-          let consumed = Ivar.create () in
-          (* the generation's awaiter *)
-          S.spawn (fun () ->
-            (match Cell.result c ~gen with
-            | Ok v -> if v <> g * 1000 then Atomic.set ok false
-            | Error _ -> Atomic.set ok false
-            | exception Cell.Stale ->
-              (* possible only if the owner recycled first, which it
-                 never does before consumption — count, don't fail *)
-              Atomic.incr mism);
-            Ivar.fill consumed ());
-          (* a straggler holding the previous generation: it may observe
-             its own generation's leftover value or [Stale], never the
-             current generation's value *)
-          if g > 0 then
-            S.spawn (fun () ->
-              match Cell.peek_result c ~gen:(g - 1) with
-              | Some (Ok v) -> if v <> (g - 1) * 1000 then Atomic.set ok false
-              | Some (Error _) -> Atomic.set ok false
-              | None -> ()
-              | exception Cell.Stale -> ());
-          ignore (Cell.try_fill c ~gen (g * 1000) : bool);
-          Ivar.read consumed;
-          Cell.recycle c
-        done;
-        Atomic.get ok && Atomic.get mism = 0))
-
-let test_cell_multi_domain_stress () =
-  (* 4 domains, many generations: one filler domain races the awaiter
-     and a pack of stale readers; nobody may ever observe a value from a
-     generation they did not issue. *)
-  let rounds = 500 in
-  let wrong = Atomic.make 0 in
-  S.run ~domains:4 (fun () ->
-    let c : int Cell.t = Cell.create () in
-    for g = 0 to rounds - 1 do
-      let gen = Cell.generation c in
-      let consumed = Ivar.create () in
-      S.spawn (fun () ->
-        (match Cell.result c ~gen with
-        | Ok v -> if v <> g then Atomic.incr wrong
-        | Error _ -> Atomic.incr wrong
-        | exception Cell.Stale -> ());
-        Ivar.fill consumed ());
-      S.spawn (fun () -> ignore (Cell.try_fill c ~gen g : bool));
-      (* stale readers from arbitrary earlier generations *)
-      if g mod 7 = 0 && g > 0 then
-        S.spawn (fun () ->
-          match Cell.peek_result c ~gen:(g - 1) with
-          | Some (Ok v) -> if v <> g - 1 then Atomic.incr wrong
-          | Some (Error _) -> Atomic.incr wrong
-          | None -> ()
-          | exception Cell.Stale -> ());
-      Ivar.read consumed;
-      Cell.recycle c
-    done);
-  check_int "no cross-generation value observed" 0 (Atomic.get wrong)
-
 (* -- poller: fd readiness as a wake source ------------------------------- *)
 
 let nonblock_pipe () =
@@ -1282,6 +1233,13 @@ let () =
             test_promise_combinators_rejection;
           Alcotest.test_case "multi-domain readers" `Quick
             test_promise_multi_domain_readers;
+          Alcotest.test_case "timed-out await" `Quick
+            test_promise_timed_out_await;
+          Alcotest.test_case "resolved never times out" `Quick
+            test_promise_resolved_never_times_out;
+          Alcotest.test_case "on_resolve" `Quick test_promise_on_resolve;
+          Alcotest.test_case "timeout races fulfil" `Quick
+            test_promise_timeout_races_fulfil;
         ] );
       ( "latch",
         [
@@ -1315,23 +1273,10 @@ let () =
           Alcotest.test_case "reduce" `Quick test_parfor_reduce;
           Alcotest.test_case "single chunk" `Quick test_parfor_single_chunk;
         ] );
-      ( "cells",
-        [
-          Alcotest.test_case "fill/read/recycle roundtrip" `Quick
-            test_cell_roundtrip;
-          Alcotest.test_case "error outcome" `Quick test_cell_error;
-          Alcotest.test_case "stale read" `Quick test_cell_stale_read;
-          Alcotest.test_case "stale read of empty next gen" `Quick
-            test_cell_stale_while_empty;
-          Alcotest.test_case "timeout abandon handoff" `Quick
-            test_cell_timeout_abandon;
-          Alcotest.test_case "multi-domain stress" `Quick
-            test_cell_multi_domain_stress;
-        ] );
       ( "properties",
         [
           qc prop_parfor_partition;
           qc prop_spawn_all_run;
-          qc prop_cell_generations;
+          qc prop_promise_one_resolver_wins;
         ] );
     ]

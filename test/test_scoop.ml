@@ -1306,14 +1306,14 @@ let prop_generous_timeout_equiv config mailbox =
         Latch.wait latch);
       Atomic.get ok)
 
-(* -- pooled flat requests ----------------------------------------------------- *)
+(* -- the packaged request path ----------------------------------------------- *)
 
-(* One mixed workload, parameterized only by the pooling knob: calls,
-   1-arg calls, blocking queries (0- and 1-arg), pipelined queries.
-   Returns the observable outcome — final balance plus every query
-   result — so pooled and unpooled runs can be compared bit for bit. *)
-let flat_workload ~pooling config =
-  R.run ~domains:2 ~config:(Cfg.with_pooling pooling config) (fun rt ->
+(* One mixed workload on a single registration, handler on a second
+   domain: calls, blocking queries and pipelined queries.  Returns the
+   final balance, every query result and the stats, to be checked
+   against the sequential model guarantee 2 promises. *)
+let mixed_workload config =
+  R.run ~domains:2 ~config (fun rt ->
     let h = R.processor rt in
     let r = ref 0 in
     let results = ref [] in
@@ -1321,86 +1321,77 @@ let flat_workload ~pooling config =
     R.separate rt h (fun reg ->
       for i = 1 to 40 do
         Reg.call reg (fun () -> r := !r + 1);
-        Reg.call1 reg (fun n -> r := !r + n) i;
+        Reg.call reg (fun () -> r := !r + i);
         keep (Reg.query reg (fun () -> !r));
-        keep (Reg.query1 reg (fun n -> !r + n) 100);
-        let p = Reg.query_async reg (fun () -> !r) in
-        keep (Scoop.Promise.await p)
+        keep (Reg.query reg (fun () -> !r + 100));
+        keep (Scoop.Promise.await (Reg.query_async reg (fun () -> !r)))
       done);
     let final = R.separate rt h (fun reg -> Reg.query reg (fun () -> !r)) in
-    let s = Scoop.Stats.snapshot (R.stats rt) in
-    (final, List.rev !results, s))
+    (final, List.rev !results, Scoop.Stats.snapshot (R.stats rt)))
 
-let test_pooled_unpooled_equiv config =
-  let f_pooled, rs_pooled, s_pooled = flat_workload ~pooling:true config in
-  let f_plain, rs_plain, s_plain = flat_workload ~pooling:false config in
-  check_int "same final balance" f_plain f_pooled;
-  Alcotest.(check (list int)) "same query results" rs_plain rs_pooled;
-  check_int "same calls" s_plain.Scoop.Stats.s_calls s_pooled.Scoop.Stats.s_calls;
-  check_int "same queries" s_plain.Scoop.Stats.s_queries
-    s_pooled.Scoop.Stats.s_queries;
-  check_int "unpooled run issued no flat requests" 0
-    s_plain.Scoop.Stats.s_requests_flat;
-  (* Single-reservation traffic under a pooling config must actually
-     exercise the flat path (the qoq preset and friends enable it). *)
-  if config.Cfg.pooling then
-    check_bool "pooled run issued flat requests" true
-      (s_pooled.Scoop.Stats.s_requests_flat > 0)
+let test_mixed_matches_model config =
+  let final, results, s = mixed_workload config in
+  let expected =
+    List.concat
+      (List.init 40 (fun k ->
+         let i = k + 1 in
+         let v = i + (i * (i + 1) / 2) in
+         [ v; v + 100; v ]))
+  in
+  check_int "final balance" (40 + (40 * 41 / 2)) final;
+  Alcotest.(check (list int)) "every query sees the calls before it" expected
+    results;
+  check_int "calls counted" 80 s.Scoop.Stats.s_calls;
+  check_int "queries counted" 121 s.Scoop.Stats.s_queries;
+  check_int "no flat requests" 0 s.Scoop.Stats.s_requests_flat;
+  check_int "no pool misses" 0 s.Scoop.Stats.s_pool_misses
 
-let test_pool_recycles config =
-  (* Far more round-trip requests than the pool holds: the free list
-     must cycle (requests_pooled keeps growing) instead of draining
-     once and falling back forever. *)
-  if config.Cfg.pooling then begin
-    let s =
-      R.run ~config:(Cfg.with_pooling true config) (fun rt ->
-        let h = R.processor rt in
-        let r = ref 0 in
+let test_many_round_trips config =
+  (* Far more call+query round trips than any per-handler buffer holds:
+     each query observes exactly the calls logged before it. *)
+  let results =
+    R.run ~config (fun rt ->
+      let h = R.processor rt in
+      let r = ref 0 in
+      R.separate rt h (fun reg ->
+        List.init 500 (fun _ ->
+          Reg.call reg (fun () -> incr r);
+          Reg.query reg (fun () -> !r))))
+  in
+  Alcotest.(check (list int)) "query i sees i calls" (List.init 500 succ) results
+
+let test_bounded_flood config =
+  (* Flood asynchronous calls into a small bounded mailbox without ever
+     syncing: [`Block] admission parks the client instead of dropping,
+     so every call is served and counted once. *)
+  let n = 2_000 in
+  let total, s =
+    R.run ~domains:2 ~config:(Cfg.with_bound 64 config) (fun rt ->
+      let h = R.processor rt in
+      let r = ref 0 in
+      let total =
         R.separate rt h (fun reg ->
-          for _ = 1 to 500 do
-            Reg.call reg (fun () -> incr r);
-            ignore (Reg.query reg (fun () -> !r) : int)
-          done);
-        Scoop.Stats.snapshot (R.stats rt))
-    in
-    check_bool "pool cycled many times" true
-      (s.Scoop.Stats.s_requests_pooled > 400);
-    check_int "flat == pooled under the fallback design"
-      s.Scoop.Stats.s_requests_pooled s.Scoop.Stats.s_requests_flat
-  end
+          for _ = 1 to n do
+            Reg.call reg (fun () -> incr r)
+          done;
+          Reg.query reg (fun () -> !r))
+      in
+      (total, Scoop.Stats.snapshot (R.stats rt)))
+  in
+  check_int "every call served" n total;
+  check_int "every call counted" n s.Scoop.Stats.s_calls
 
-let test_pool_miss_falls_back config =
-  (* Flood asynchronous calls without ever syncing: the 64-slot pool
-     empties and every further call must degrade to the packaged path
-     (counted as misses), with nothing lost. *)
-  if config.Cfg.pooling then begin
-    let n = 2_000 in
-    let total, s =
-      R.run ~config:(Cfg.with_pooling true config) (fun rt ->
-        let h = R.processor rt in
-        let r = ref 0 in
-        let total =
-          R.separate rt h (fun reg ->
-            for _ = 1 to n do
-              Reg.call reg (fun () -> incr r)
-            done;
-            Reg.query reg (fun () -> !r))
-        in
-        (total, Scoop.Stats.snapshot (R.stats rt)))
-    in
-    check_int "every call served" n total;
-    check_bool "some calls fell back" true (s.Scoop.Stats.s_pool_misses > 0)
-  end
+(* -- synced status after a pipelined or packaged rendezvous ------------------ *)
 
-let test_flat_timeout_recovers config =
-  (* A timed-out flat query abandons its record; the cell CAS hands the
-     recycle to whichever side finishes last, so the pool keeps working
-     and later round trips still succeed.  Only packaged-flavour queries
+let test_timeout_recovers config =
+  (* A timed-out packaged query abandons only its rendezvous: the handler
+     still runs the query, and later round trips on the same
+     registration return correct values.  Only packaged-flavour queries
      round-trip through the handler (under [client_query] the body runs
      on the client fiber, which would self-deadlock on the gate). *)
-  if config.Cfg.pooling && not config.Cfg.client_query then begin
-    let after =
-      R.run ~domains:2 ~config:(Cfg.with_pooling true config) (fun rt ->
+  if not config.Cfg.client_query then begin
+    let after, results =
+      R.run ~domains:2 ~config (fun rt ->
         let h = R.processor rt in
         let gate = Atomic.make false in
         let r = ref 0 in
@@ -1416,20 +1407,25 @@ let test_flat_timeout_recovers config =
           | (_ : int) -> Alcotest.fail "expected Timeout"
           | exception Qs_sched.Timer.Timeout -> ());
           Atomic.set gate true;
-          (* the handler finishes the abandoned query; subsequent flat
-             round trips must observe a healthy pool *)
-          for _ = 1 to 50 do
-            ignore (Reg.query reg (fun () -> !r) : int)
-          done;
-          Reg.query reg (fun () -> !r)))
+          let results =
+            List.init 50 (fun i ->
+              Reg.call reg (fun () -> r := !r + i);
+              Reg.query reg (fun () -> !r))
+          in
+          (Reg.query reg (fun () -> !r), results)))
     in
-    check_int "abandoned query still executed" 1 after
+    check_int "abandoned query still executed" (1 + (49 * 50 / 2)) after;
+    Alcotest.(check (list int))
+      "later queries see every earlier call"
+      (List.init 50 (fun i -> 1 + (i * (i + 1) / 2)))
+      results
   end
 
-let test_handler_elision_pipelined () =
-  (* The handler-side drained hint: pipelined query fulfilled at the
-     tail of a drained batch + watermark-clean force ⇒ the sync that
-     would re-establish the synced state is elided. *)
+let test_force_then_sync_elided () =
+  (* A served pipelined query forced with nothing logged since issue
+     re-establishes the synced status, so the sync right after it is
+     elided by dynamic sync coalescing (§3.4.1) — a real round trip
+     saved at a real sync point. *)
   let s =
     R.run ~config:Cfg.all (fun rt ->
       let h = R.processor rt in
@@ -1439,28 +1435,66 @@ let test_handler_elision_pipelined () =
           Reg.call reg (fun () -> incr r);
           let p = Reg.query_async reg (fun () -> !r) in
           ignore (Scoop.Promise.await p : int);
-          (* synced was re-established by the force; this read needs no
-             round trip *)
+          check_bool "synced after the force" true (Reg.is_synced reg);
           Reg.sync reg
         done);
       Scoop.Stats.snapshot (R.stats rt))
   in
-  check_bool "syncs elided" true (s.Scoop.Stats.s_syncs_elided > 0)
+  check_int "every post-force sync elided" 30 s.Scoop.Stats.s_syncs_elided
 
-let test_pooling_knob_off () =
-  (* Config.pooling=false (or the per-run override) must disable the
-     flat path entirely. *)
-  let s =
-    R.run ~config:Cfg.(qoq |> with_pooling false) (fun rt ->
-      let h = R.processor rt in
-      let r = ref 0 in
-      R.separate rt h (fun reg ->
-        Reg.call reg (fun () -> incr r);
-        ignore (Reg.query reg (fun () -> !r) : int));
-      Scoop.Stats.snapshot (R.stats rt))
+let test_elision_exactly_one () =
+  (* [query_async; await; sync] elides exactly one sync under [all] and
+     none under [qoq] (no dynamic sync coalescing there). *)
+  let elided config =
+    let s =
+      R.run ~config (fun rt ->
+        let h = R.processor rt in
+        R.separate rt h (fun reg ->
+          ignore (Scoop.Promise.await (Reg.query_async reg (fun () -> 7)) : int);
+          Reg.sync reg);
+        Scoop.Stats.snapshot (R.stats rt))
+    in
+    (s.Scoop.Stats.s_syncs_elided, s.Scoop.Stats.s_syncs_sent)
   in
-  check_int "no flat requests" 0 s.Scoop.Stats.s_requests_flat;
-  check_int "no pool traffic" 0 s.Scoop.Stats.s_requests_pooled
+  let e_all, sent_all = elided Cfg.all in
+  check_int "all: one sync elided" 1 e_all;
+  check_int "all: no sync round trip" 0 sent_all;
+  let e_qoq, sent_qoq = elided Cfg.qoq in
+  check_int "qoq: nothing elided" 0 e_qoq;
+  check_int "qoq: the sync round trip is paid" 1 sent_qoq
+
+let test_unserved_rendezvous_not_synced () =
+  (* A rendezvous the runtime rejects without running it proves nothing
+     about the handler's log: forcing an aborted promise, or receiving
+     an aborted blocking query's rejection, must leave the synced status
+     unset even though nothing was logged since the issue. *)
+  R.run ~config:Cfg.all (fun rt ->
+    let h = R.processor rt in
+    R.separate rt h (fun reg ->
+      (* One domain: the handler gets no cycles before the abort. *)
+      let p = Reg.query_async reg (fun () -> 1) in
+      Scoop.Processor.abort h;
+      (match Scoop.Promise.await p with
+      | (_ : int) -> Alcotest.fail "expected Aborted"
+      | exception Scoop.Processor.Aborted _ -> ());
+      check_bool "aborted promise leaves synced unset" false
+        (Reg.is_synced reg)));
+  R.run ~config:Cfg.qoq (fun rt ->
+    let h = R.processor rt in
+    let busy = Atomic.make false in
+    S.spawn (fun () ->
+      while not (Atomic.get busy) do
+        S.yield ()
+      done;
+      Scoop.Processor.abort h);
+    R.separate rt h (fun reg ->
+      Reg.call reg (fun () ->
+        Atomic.set busy true;
+        S.sleep 0.02);
+      (match Reg.query reg (fun () -> 1) with
+      | (_ : int) -> Alcotest.fail "expected Aborted"
+      | exception Scoop.Processor.Aborted _ -> ());
+      check_bool "aborted query leaves synced unset" false (Reg.is_synced reg)))
 
 (* -- config builders and the endpoint grammar ----------------------------- *)
 
@@ -1583,15 +1617,19 @@ let () =
         @ per_config "shared ownership" test_shared_wrong_block
         @ per_config "handler as client" test_handler_as_client
         @ per_config "sequential blocks" test_sequential_blocks );
-      ( "flat requests",
-        per_config "pooled = unpooled" test_pooled_unpooled_equiv
-        @ per_config "pool recycles" test_pool_recycles
-        @ per_config "miss falls back" test_pool_miss_falls_back
-        @ per_config "timeout recovers" test_flat_timeout_recovers
+      ( "request path",
+        per_config "mixed matches model" test_mixed_matches_model
+        @ per_config "many round trips" test_many_round_trips
+        @ per_config "bounded flood" test_bounded_flood );
+      ( "synced status",
+        per_config "timeout recovers" test_timeout_recovers
         @ [
-            Alcotest.test_case "handler-side elision" `Quick
-              test_handler_elision_pipelined;
-            Alcotest.test_case "pooling knob off" `Quick test_pooling_knob_off;
+            Alcotest.test_case "force then sync elided" `Quick
+              test_force_then_sync_elided;
+            Alcotest.test_case "elision exactly one" `Quick
+              test_elision_exactly_one;
+            Alcotest.test_case "unserved rendezvous not synced" `Quick
+              test_unserved_rendezvous_not_synced;
           ] );
       ( "mailbox",
         [
