@@ -573,7 +573,12 @@ let remote_cell = Atomic.make 0
                                     overlap in flight, so the per-query
                                     cost collapses toward the transport's
                                     throughput bound (CI asserts this row
-                                    beats the blocking one). *)
+                                    beats the blocking one).
+
+   Each socket row also reports the client runtime's [remote_requests]
+   and [remote_writes] summed over its reps: requests per write is the
+   transport's frame coalescing (posted frames leave in one write per
+   burst, so the pipelined row needs far fewer writes than requests). *)
 let remote_ablation (s : H.scale) =
   let module BT = Qs_benchmarks.Bench_types in
   print_newline ();
@@ -629,13 +634,35 @@ let remote_ablation (s : H.scale) =
   in
   let addr = Scoop.Config.Unix_sock path in
   let node = Domain.spawn (fun () -> Scoop.Remote.listen addr) in
+  let requests = ref 0 and writes = ref 0 in
   let remotely f () =
+    let stats = ref None in
     Scoop.Runtime.run
       ~config:(Scoop.Remote.connect [ addr ])
-      (fun rt -> f rt)
+      (fun rt ->
+        stats := Some (Scoop.Runtime.stats rt);
+        f rt);
+    (* Read after [run]: the teardown's Rclose/Bye writes count too. *)
+    Option.iter
+      (fun st ->
+        let s = Scoop.Stats.snapshot st in
+        requests := !requests + s.Scoop.Stats.s_remote_requests;
+        writes := !writes + s.Scoop.Stats.s_remote_writes)
+      !stats
   in
-  let r_blocking = row "remote:qoq-vs-socket-1000" (remotely blocking) in
-  let r_pipelined = row "remote:socket-pipelined-1000" (remotely pipelined) in
+  let counted name f =
+    requests := 0;
+    writes := 0;
+    let ((qname, _, _, _) as r) = row name f in
+    Printf.printf "%-36s %d requests in %d writes\n" "" !requests !writes;
+    (r, (qname, [ ("remote_requests", !requests); ("remote_writes", !writes) ]))
+  in
+  let r_blocking, x_blocking =
+    counted "remote:qoq-vs-socket-1000" (remotely blocking)
+  in
+  let r_pipelined, x_pipelined =
+    counted "remote:socket-pipelined-1000" (remotely pipelined)
+  in
   Scoop.Runtime.run
     ~config:(Scoop.Remote.connect [ addr ])
     Scoop.Runtime.shutdown_nodes;
@@ -644,7 +671,7 @@ let remote_ablation (s : H.scale) =
   Printf.printf
     "pipelining recovered %.1fx of the socket round-trip cost\n"
     (mean r_blocking /. mean r_pipelined);
-  [ r_local; r_blocking; r_pipelined ]
+  ([ r_local; r_blocking; r_pipelined ], [ x_blocking; x_pipelined ])
 
 (* -- per-request allocation probe ------------------------------------------- *)
 
@@ -1007,8 +1034,9 @@ let instrumented_probe ?obs (s : H.scale) =
 let json_ints kvs =
   Qs_obs.Json.Obj (List.map (fun (k, v) -> (k, Qs_obs.Json.Int v)) kvs)
 
-let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
-    timeout_info pools_info alloc_info conformance_info =
+let write_json ?(row_counts = []) path (s : H.scale) micro_rows
+    batching_rows pipeline_rows timeout_info pools_info alloc_info
+    conformance_info =
   let open Qs_obs.Json in
   let runtime_counters, runtime_hists, sched_counters = instrumented_probe s in
   let pools_json =
@@ -1084,13 +1112,17 @@ let write_json path (s : H.scale) micro_rows batching_rows pipeline_rows
   let micro_json =
     List.map
       (fun (name, mean, stddev, samples) ->
+        let counts =
+          Option.value ~default:[] (List.assoc_opt name row_counts)
+        in
         Obj
-          [
-            ("name", String name);
-            ("mean_ns", Float mean);
-            ("stddev_ns", Float stddev);
-            ("samples", Int samples);
-          ])
+          ([
+             ("name", String name);
+             ("mean_ns", Float mean);
+             ("stddev_ns", Float stddev);
+             ("samples", Int samples);
+           ]
+          @ List.map (fun (k, v) -> (k, Int v)) counts))
       micro_rows
   in
   let batching_json =
@@ -1246,7 +1278,9 @@ let run scale only json trace_out =
   let pools_rows =
     match pools_info with Some (rows, _) -> rows | None -> []
   in
-  let remote_rows = if want "remote" then remote_ablation scale else [] in
+  let remote_rows, row_counts =
+    if want "remote" then remote_ablation scale else ([], [])
+  in
   let alloc_info =
     if want "alloc" then Some (allocation_probe scale) else None
   in
@@ -1258,7 +1292,7 @@ let run scale only json trace_out =
     let micro_rows, batching_rows = micro () in
     match json with
     | Some path ->
-      write_json path scale
+      write_json ~row_counts path scale
         (micro_rows @ pools_rows @ remote_rows)
         batching_rows pipeline_rows timeout_info pools_info alloc_info
         conformance_info
@@ -1270,8 +1304,8 @@ let run scale only json trace_out =
         (* No micro rows without the micro suite; still emit the pools
            rows and the counters so the output is valid and
            self-describing. *)
-        write_json path scale (pools_rows @ remote_rows) [] pipeline_rows
-          timeout_info pools_info alloc_info conformance_info)
+        write_json ~row_counts path scale (pools_rows @ remote_rows) []
+          pipeline_rows timeout_info pools_info alloc_info conformance_info)
       json;
   Option.iter (fun path -> write_trace path scale) trace_out
 

@@ -844,10 +844,10 @@ let remote_demo connect shutdown_flag =
     (String.concat "," (List.map Scoop.Config.addr_to_string addrs))
     remote expected;
   Printf.printf
-    "remote round trips: %d requests, %d replies, %d failures, rtt p50 %.3f \
-     ms, p99 %.3f ms\n"
+    "remote round trips: %d requests, %d replies, %d writes, %d failures, \
+     rtt p50 %.3f ms, p99 %.3f ms\n"
     stats.Scoop.Stats.s_remote_requests stats.Scoop.Stats.s_remote_replies
-    stats.Scoop.Stats.s_remote_failures
+    stats.Scoop.Stats.s_remote_writes stats.Scoop.Stats.s_remote_failures
     (float_of_int (Qs_obs.Histogram.quantile rtt 0.5) /. 1e6)
     (float_of_int (Qs_obs.Histogram.quantile rtt 0.99) /. 1e6);
   if local <> expected || remote <> expected then begin

@@ -20,11 +20,20 @@
    dirty-processor rule observable client-side at the same points it
    would surface in-process.
 
+   Replies are posted ([Socket_queue.post]), not written one by one.
+   The completion of the connection's last outstanding rendezvous
+   flushes at once, carrying every reply posted before it: a drain
+   batch's replies leave in one write, and a lone blocking query's
+   reply leaves without waiting for the flush fiber — a blocked client
+   has nothing to coalesce with, and across domains that extra hop
+   costs the round trip more than the write it would save.
+
    Backpressure is node-side: the serve fiber logs requests through the
    ordinary [Registration] path, so a bounded mailbox's admission
    control blocks *it*, which stops it reading the socket, which fills
-   the kernel buffers, which blocks the client's writes — the bound
-   propagates over the connection with no extra protocol.
+   the kernel buffers, which blocks the client's flushes — and once the
+   client has [Socket_queue.out_cap] bytes posted, its posters park too:
+   the bound propagates over the connection with no extra protocol.
 
    The node's config must use the queue-of-queues mailbox: a Direct-mode
    reservation holds the handler lock for the block's whole lifetime,
@@ -44,9 +53,17 @@ type conn_state = {
   send_q : Remote_proto.node_msg SQ.t;
   procs : (int, Processor.t) Hashtbl.t; (* client proc id -> handler *)
   regs : (int, Registration.t) Hashtbl.t; (* wire reg id -> open block *)
+  outstanding : int Atomic.t; (* Rquery/Rsync received, not yet answered *)
 }
 
-let send st msg = try SQ.enqueue st.send_q msg with SQ.Closed -> ()
+let send st msg = try SQ.post st.send_q msg with SQ.Closed -> ()
+
+(* Answer one rendezvous ([Rquery]/[Rsync]); each is answered exactly
+   once.  The last outstanding one flushes everything posted so far. *)
+let reply st msg =
+  if Atomic.fetch_and_add st.outstanding (-1) = 1 then
+    try SQ.enqueue st.send_q msg with SQ.Closed -> ()
+  else send st msg
 
 let report_poison st ~reg e =
   send st (Remote_proto.Rpoisoned { reg; msg = Printexc.to_string e })
@@ -77,8 +94,9 @@ let serve_msg st = function
       try Registration.call r f
       with Registration.Handler_failure (_, e) -> report_poison st ~reg e))
   | Rquery { reg; qid; f } -> (
+    Atomic.incr st.outstanding;
     match Hashtbl.find_opt st.regs reg with
-    | None -> send st (Rfailed { qid; msg = "unknown registration" })
+    | None -> reply st (Rfailed { qid; msg = "unknown registration" })
     | Some r -> (
       try
         Registration.call r (fun () ->
@@ -90,30 +108,31 @@ let serve_msg st = function
           match Registration.poisoned r with
           | Some e ->
             report_poison st ~reg e;
-            send st (Rfailed { qid; msg = Printexc.to_string e })
+            reply st (Rfailed { qid; msg = Printexc.to_string e })
           | None -> (
             match f () with
-            | v -> send st (Rresult { qid; v })
+            | v -> reply st (Rresult { qid; v })
             | exception e ->
               (* The producer itself raised: a rendezvous failure, not a
                  poisoning — same rule as in-process packaged queries. *)
-              send st (Rfailed { qid; msg = Printexc.to_string e })))
+              reply st (Rfailed { qid; msg = Printexc.to_string e })))
       with Registration.Handler_failure (_, e) ->
         report_poison st ~reg e;
-        send st (Rfailed { qid; msg = Printexc.to_string e })))
+        reply st (Rfailed { qid; msg = Printexc.to_string e })))
   | Rsync { reg; sid } -> (
+    Atomic.incr st.outstanding;
     match Hashtbl.find_opt st.regs reg with
-    | None -> send st (Rsynced { sid })
+    | None -> reply st (Rsynced { sid })
     | Some r -> (
       try
         Registration.call r (fun () ->
           (match Registration.poisoned r with
           | Some e -> report_poison st ~reg e
           | None -> ());
-          send st (Rsynced { sid }))
+          reply st (Rsynced { sid }))
       with Registration.Handler_failure (_, e) ->
         report_poison st ~reg e;
-        send st (Rsynced { sid })))
+        reply st (Rsynced { sid })))
   | Rclose { reg } -> (
     match Hashtbl.find_opt st.regs reg with
     | None -> ()
@@ -141,18 +160,33 @@ let cleanup st =
   Hashtbl.iter (fun _ p -> Processor.await_stopped p) st.procs;
   Hashtbl.reset st.procs
 
-(* Serve one accepted connection until Bye, Shutdown, EOF or a torn
-   frame.  Returns [`Shutdown] if the client asked the node process to
-   stop. *)
+(* A header announcing an impossible length: the stream cannot be
+   resynchronised, so the connection goes — before anything that size
+   is allocated. *)
+let bad_frame rt len =
+  Qs_obs.Counter.incr (Runtime.stats rt).Stats.remote_bad_frames;
+  nlog "bad frame header (payload length %d): dropping connection" len
+
+(* Serve one accepted connection until Bye, Shutdown, EOF, a torn frame
+   or a hostile header.  Returns [`Shutdown] if the client asked the
+   node process to stop. *)
 let serve_conn rt fd =
   let recv_q : Remote_proto.client_msg SQ.t =
     SQ.of_fds ~flags:[ Marshal.Closures ] ~read_fd:fd ~write_fd:fd ()
   in
   let send_q : Remote_proto.node_msg SQ.t =
-    SQ.of_fds ~flags:[ Marshal.Closures ] ~read_fd:fd ~write_fd:fd ()
+    SQ.of_fds ~flags:[ Marshal.Closures ]
+      ~writes:(Runtime.stats rt).Stats.remote_writes ~read_fd:fd ~write_fd:fd
+      ()
   in
   let st =
-    { rt; send_q; procs = Hashtbl.create 8; regs = Hashtbl.create 16 }
+    {
+      rt;
+      send_q;
+      procs = Hashtbl.create 8;
+      regs = Hashtbl.create 16;
+      outstanding = Atomic.make 0;
+    }
   in
   let result = ref `Bye in
   (* Handshake: first frame must be a matching Hello — a peer built from
@@ -172,12 +206,16 @@ let serve_conn rt fd =
         | exception SQ.Truncated_frame ->
           nlog "torn frame: peer died mid-send; dropping connection";
           continue_ := false
+        | exception SQ.Bad_frame len ->
+          bad_frame rt len;
+          continue_ := false
         | exception e ->
           nlog "serve error: %s" (Printexc.to_string e);
           continue_ := false
       done)
     | Error why -> nlog "refusing connection: %s" why)
   | Some _ | None -> nlog "refusing connection: no Hello"
+  | exception SQ.Bad_frame len -> bad_frame rt len
   | exception _ -> nlog "refusing connection: unreadable Hello");
   cleanup st;
   SQ.close_writer send_q;

@@ -8,7 +8,7 @@
    unchanged against a processor living on a node:
 
    - calls are fire-and-forget [Rcall] frames (the logged side of the
-     separate rule, now a socket write instead of a private-queue push);
+     separate rule, now a posted frame instead of a private-queue push);
    - blocking queries and syncs park the client fiber on an ivar the
      demultiplexer fills when the completion frame arrives;
    - pipelined queries hand back a promise the demultiplexer fulfils —
@@ -21,7 +21,16 @@
    Connection loss is a poison event: every open registration on the
    connection is poisoned with [Connection_lost] and every outstanding
    rendezvous is rejected with it — a waiting client gets a typed
-   failure, never a hang. *)
+   failure, never a hang.
+
+   Requests are posted ([Socket_queue.post]): frames issued without
+   suspending — the 16 pipelined queries of a burst, or [Rclose] followed
+   by the next block's [Open] — leave in one write when the issuing
+   fiber next suspends.  A blocking query or sync flushes at once
+   instead, carrying whatever was posted before it: its caller is about
+   to block, so there is nothing left to coalesce.  A write failure only
+   a deferred flush sees is a loss like any other: the queue's failure
+   hook runs [connection_lost]. *)
 
 module SQ = Qs_remote.Socket_queue
 
@@ -106,9 +115,9 @@ let connection_lost conn =
       (fun iv -> ignore (Qs_sched.Ivar.try_fill_error ~bt iv e : bool))
       syn
 
-let send conn msg =
+let send ?(flush = false) conn msg =
   if conn.lost then raise (Remote_proto.Connection_lost conn.label);
-  match SQ.enqueue conn.send_q msg with
+  match (if flush then SQ.enqueue else SQ.post) conn.send_q msg with
   | () -> ()
   | exception SQ.Closed ->
     connection_lost conn;
@@ -175,7 +184,9 @@ let rec demux conn =
     handle conn msg;
     demux conn
   | None -> connection_lost conn
-  | exception SQ.Truncated_frame -> connection_lost conn
+  | exception SQ.Bad_frame _ ->
+    Qs_obs.Counter.incr conn.stats.Stats.remote_bad_frames;
+    connection_lost conn
   | exception _ -> connection_lost conn
 
 (* -- Per-registration proxy ----------------------------------------------- *)
@@ -203,7 +214,7 @@ let open_reg conn ~proc =
     with_lock conn (fun () ->
       if conn.lost then raise (Remote_proto.Connection_lost conn.label);
       Hashtbl.replace conn.pending qid (Blocked iv));
-    (try send conn (Remote_proto.Rquery { reg; qid; f })
+    (try send ~flush:true conn (Remote_proto.Rquery { reg; qid; f })
      with e ->
        with_lock conn (fun () -> Hashtbl.remove conn.pending qid);
        raise e);
@@ -256,7 +267,7 @@ let open_reg conn ~proc =
     with_lock conn (fun () ->
       if conn.lost then raise (Remote_proto.Connection_lost conn.label);
       Hashtbl.replace conn.syncs sid iv);
-    (try send conn (Remote_proto.Rsync { reg; sid })
+    (try send ~flush:true conn (Remote_proto.Rsync { reg; sid })
      with e ->
        with_lock conn (fun () -> Hashtbl.remove conn.syncs sid);
        raise e);
@@ -306,9 +317,13 @@ let open_conn ~stats addr =
   (* One duplex descriptor wrapped twice: a send-only queue for requests
      and a receive-only queue for completions.  Both directions marshal
      under [Closures] — requests ship producers, completions may carry
-     closure-valued results. *)
+     closure-valued results.  The send queue's failure hook needs the
+     connection it belongs to, hence the forward reference. *)
+  let on_failure = ref ignore in
   let send_q =
-    SQ.of_fds ~flags:[ Marshal.Closures ] ~read_fd:fd ~write_fd:fd ()
+    SQ.of_fds ~flags:[ Marshal.Closures ]
+      ~on_failure:(fun () -> !on_failure ())
+      ~writes:stats.Stats.remote_writes ~read_fd:fd ~write_fd:fd ()
   in
   let recv_q =
     SQ.of_fds ~flags:[ Marshal.Closures ] ~read_fd:fd ~write_fd:fd ()
@@ -331,6 +346,7 @@ let open_conn ~stats addr =
       stats;
     }
   in
+  on_failure := (fun () -> connection_lost conn);
   SQ.enqueue send_q (Remote_proto.hello ());
   Qs_sched.Sched.spawn (fun () ->
     demux conn;

@@ -40,6 +40,8 @@ type t = {
   remote_requests : Qs_obs.Counter.t; (* calls/queries/syncs shipped to a node *)
   remote_replies : Qs_obs.Counter.t; (* completions received from a node *)
   remote_failures : Qs_obs.Counter.t; (* lost connections and wire-level errors *)
+  remote_writes : Qs_obs.Counter.t; (* socket write syscalls, client and node *)
+  remote_bad_frames : Qs_obs.Counter.t; (* connections dropped for a hostile header *)
   (* Latency distributions (ns).  One registry per runtime, mirroring
      the counter registry: registered here in a fixed order so every
      export (bench JSON, Chrome trace, [qs] subcommands) sees the same
@@ -97,6 +99,8 @@ let create () =
   let remote_requests = c "remote_requests" in
   let remote_replies = c "remote_replies" in
   let remote_failures = c "remote_failures" in
+  let remote_writes = c "remote_writes" in
+  let remote_bad_frames = c "remote_bad_frames" in
   let hist = Qs_obs.Histogram.registry () in
   let hg name = Qs_obs.Histogram.make hist name in
   let h_call_local = hg "call_local_ns" in
@@ -138,6 +142,8 @@ let create () =
     remote_requests;
     remote_replies;
     remote_failures;
+    remote_writes;
+    remote_bad_frames;
     hist;
     h_call_local;
     h_query_local;
@@ -188,6 +194,8 @@ type snapshot = {
   s_remote_requests : int;
   s_remote_replies : int;
   s_remote_failures : int;
+  s_remote_writes : int;
+  s_remote_bad_frames : int;
 }
 
 let snapshot t =
@@ -224,6 +232,8 @@ let snapshot t =
     s_remote_requests = g t.remote_requests;
     s_remote_replies = g t.remote_replies;
     s_remote_failures = g t.remote_failures;
+    s_remote_writes = g t.remote_writes;
+    s_remote_bad_frames = g t.remote_bad_frames;
   }
 
 let diff later earlier =
@@ -263,6 +273,9 @@ let diff later earlier =
     s_remote_requests = later.s_remote_requests - earlier.s_remote_requests;
     s_remote_replies = later.s_remote_replies - earlier.s_remote_replies;
     s_remote_failures = later.s_remote_failures - earlier.s_remote_failures;
+    s_remote_writes = later.s_remote_writes - earlier.s_remote_writes;
+    s_remote_bad_frames =
+      later.s_remote_bad_frames - earlier.s_remote_bad_frames;
   }
 
 (* Mean requests delivered per handler wakeup: the batching efficiency
@@ -295,7 +308,8 @@ let pp_snapshot ppf s =
      handler failures:  %d (poisoned regs: %d, rejected promises: %d, aborted: %d)@,\
      deadlines:         %d armed, %d fired, %d exceeded@,\
      shed requests:     %d@,\
-     remote:            %d requests, %d replies, %d failures@]"
+     remote:            %d requests, %d replies, %d writes, %d failures \
+     (bad frames: %d)@]"
     s.s_processors s.s_reservations s.s_multi_reservations s.s_calls
     s.s_queries s.s_packaged_queries s.s_promises_created
     s.s_promises_fulfilled s.s_promises_ready s.s_promises_blocked
@@ -304,4 +318,5 @@ let pp_snapshot ppf s =
     s.s_ends_drained s.s_handler_failures s.s_poisoned_registrations
     s.s_rejected_promises s.s_aborted_requests s.s_timer_arms
     s.s_timeouts_fired s.s_deadline_exceeded s.s_shed_requests
-    s.s_remote_requests s.s_remote_replies s.s_remote_failures
+    s.s_remote_requests s.s_remote_replies s.s_remote_writes
+    s.s_remote_failures s.s_remote_bad_frames

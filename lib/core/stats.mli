@@ -65,6 +65,13 @@ type t = {
       (** typed completions received back from a node *)
   remote_failures : Qs_obs.Counter.t;
       (** lost connections and wire-level protocol errors *)
+  remote_writes : Qs_obs.Counter.t;
+      (** socket write syscalls on node connections, counted on both
+          ends (client and node runtimes); requests over writes is the
+          transport's frame coalescing *)
+  remote_bad_frames : Qs_obs.Counter.t;
+      (** connections dropped because a frame header announced an
+          impossible length ([Socket_queue.Bad_frame]) *)
   hist : Qs_obs.Histogram.registry;
       (** latency distributions (ns), one registry per runtime — the
           histogram sibling of [registry] *)
@@ -137,6 +144,8 @@ type snapshot = {
   s_remote_requests : int;
   s_remote_replies : int;
   s_remote_failures : int;
+  s_remote_writes : int;
+  s_remote_bad_frames : int;
 }
 
 val snapshot : t -> snapshot

@@ -1,6 +1,7 @@
 (* Tests for the socket-backed message queue (the §7 transport
    exploration): framing, FIFO order, partial reads/writes on messages
-   larger than the socket buffer, multiple producers, close semantics. *)
+   larger than the socket buffer, multiple producers, close semantics,
+   deferred sends and hostile headers. *)
 
 module Sq = Qs_remote.Socket_queue
 module S = Qs_sched.Sched
@@ -228,6 +229,146 @@ let test_header_only_truncation () =
          false
        with Sq.Truncated_frame -> true))
 
+(* -- Deferred sends ([post]) and hostile input ----------------------------- *)
+
+let test_post_concurrent_producers () =
+  (* Posters on two domains, yielding now and then so their bursts
+     interleave: every message arrives intact, and each producer's
+     messages arrive in the order it posted them. *)
+  S.run ~domains:2 (fun () ->
+    let q = Sq.create () in
+    Fun.protect ~finally:(fun () -> Sq.destroy q) (fun () ->
+      let producers = 4 and per = 500 in
+      let latch = Latch.create producers in
+      for p = 0 to producers - 1 do
+        S.spawn (fun () ->
+          for i = 0 to per - 1 do
+            Sq.post q (p, i, String.make (i mod 37) 'x');
+            if i mod 7 = 0 then S.yield ()
+          done;
+          Latch.count_down latch)
+      done;
+      S.spawn (fun () ->
+        Latch.wait latch;
+        Sq.close_writer q);
+      let next = Array.make producers 0 in
+      let rec drain () =
+        match Sq.dequeue q with
+        | Some (p, i, pad) ->
+          check_int "per-producer FIFO" next.(p) i;
+          check_int "payload intact" (i mod 37) (String.length pad);
+          next.(p) <- i + 1;
+          drain ()
+        | None -> ()
+      in
+      drain ();
+      Array.iter (check_int "every message arrived" per) next))
+
+let test_post_backpressure () =
+  (* Nobody reads: the poster buffers up to the cap, flushes inline,
+     fills the kernel buffer and parks.  Once the reader starts,
+     everything arrives in order. *)
+  with_queue (fun q ->
+    let n = 2048 and size = 4096 in
+    let posted = ref 0 in
+    S.spawn (fun () ->
+      for i = 0 to n - 1 do
+        Sq.post q (i, Bytes.make size 'p');
+        incr posted
+      done;
+      Sq.close_writer q);
+    S.sleep 0.05;
+    check_bool "poster blocked before posting everything" true (!posted < n);
+    let v = Qs_obs.Counter.value (Sq.counters q) in
+    check_bool "it parked on writability" true (v "would_blocks" > 0);
+    check_bool "bounded user-space buffering" true
+      ((!posted * size) - v "bytes_sent" <= Sq.out_cap + size + 64);
+    let rec drain i =
+      match Sq.dequeue q with
+      | Some (j, b) ->
+        check_int "in order" i j;
+        check_int "intact" size (Bytes.length b);
+        drain (i + 1)
+      | None -> i
+    in
+    check_int "everything arrived" n (drain 0))
+
+let test_post_one_write_per_burst () =
+  with_queue (fun q ->
+    for i = 1 to 16 do
+      Sq.post q i
+    done;
+    let v () = Qs_obs.Counter.value (Sq.counters q) in
+    check_int "nothing written before the poster suspends" 0 (v () "writes");
+    S.yield ();
+    check_int "16 posts, one write" 1 (v () "writes");
+    check_int "16 frames sent" 16 (v () "frames_sent");
+    for i = 1 to 16 do
+      check_bool "delivered in order" true (Sq.dequeue q = Some i)
+    done)
+
+let test_post_deferred_failure () =
+  (* The peer is gone before the burst's flush runs: the flush has no
+     caller to raise into, so it marks the queue failed — later sends
+     raise [Closed] — and runs the failure hook, once. *)
+  S.run (fun () ->
+    let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let failures = ref 0 in
+    let q =
+      Sq.of_fds ~on_failure:(fun () -> incr failures) ~read_fd:a ~write_fd:a
+        ()
+    in
+    Unix.close b;
+    Fun.protect ~finally:(fun () -> Sq.destroy q) (fun () ->
+      Sq.post q 1;
+      Sq.post q 2;
+      check_int "nothing failed yet" 0 !failures;
+      S.yield ();
+      check_int "the deferred flush reported the failure" 1 !failures;
+      let raises f =
+        try
+          f ();
+          false
+        with Sq.Closed -> true
+      in
+      check_bool "post raises Closed" true (raises (fun () -> Sq.post q 3));
+      check_bool "enqueue raises Closed" true
+        (raises (fun () -> Sq.enqueue q 4));
+      check_int "hook ran once" 1 !failures))
+
+let test_enqueue_flushes_posts () =
+  (* [enqueue] stays synchronous, and carries earlier posts with it. *)
+  with_queue (fun q ->
+    Sq.post q 1;
+    Sq.post q 2;
+    Sq.enqueue q 3;
+    check_int "one write for all three" 1
+      (Qs_obs.Counter.value (Sq.counters q) "writes");
+    Sq.close_writer q;
+    let got = List.init 3 (fun _ -> Sq.dequeue q) in
+    check_bool "in order" true (got = [ Some 1; Some 2; Some 3 ]))
+
+let test_hostile_headers () =
+  (* A negative length and one far above the frame ceiling are both
+     rejected before any allocation of that size, and counted. *)
+  List.iter
+    (fun len ->
+      with_queue (fun q ->
+        let _, write_fd = Sq.fds q in
+        let hdr = Bytes.create 8 in
+        Bytes.set_int64_le hdr 0 len;
+        write_raw write_fd hdr;
+        let raised () =
+          match (Sq.dequeue q : int option) with
+          | _ -> false
+          | exception Sq.Bad_frame n -> n = Int64.to_int len
+        in
+        check_bool "rejected" true (raised ());
+        check_bool "rejected again on retry" true (raised ());
+        check_int "counted once" 1
+          (Qs_obs.Counter.value (Sq.counters q) "bad_frames")))
+    [ -1L; Int64.shift_left 1L 40 ]
+
 let prop_any_payload =
   QCheck2.Test.make ~count:50 ~name:"arbitrary int lists survive the socket"
     QCheck2.Gen.(list (list small_int))
@@ -365,6 +506,34 @@ let test_remote_pipelined () =
       in
       check_bool "16 pipelined remote queries" true ok))
 
+let test_remote_writes_per_burst () =
+  (* The client's write count: a blocking query writes once, and a
+     burst of 16 pipelined queries shares one write. *)
+  with_node (fun addr ->
+    with_client addr (fun rt ->
+      let p = Scoop.Runtime.processor rt in
+      let writes () =
+        (Scoop.Stats.snapshot (Scoop.Runtime.stats rt)).Scoop.Stats
+          .s_remote_writes
+      in
+      Scoop.Runtime.separate rt p (fun reg ->
+        ignore (Scoop.Registration.query reg (fun () -> 0) : int);
+        let w0 = writes () in
+        for i = 1 to 20 do
+          check_int "blocking result" i
+            (Scoop.Registration.query reg (fun () -> i))
+        done;
+        let w1 = writes () in
+        check_int "one write per blocking query" 20 (w1 - w0);
+        let promises =
+          List.init 16 (fun i ->
+            Scoop.Registration.query_async reg (fun () -> i))
+        in
+        List.iteri
+          (fun i pr -> check_int "pipelined result" i (Scoop.Promise.await pr))
+          promises;
+        check_int "16 pipelined queries, one write" 1 (writes () - w1))))
+
 let test_remote_timeout () =
   with_node (fun addr ->
     with_client addr (fun rt ->
@@ -441,6 +610,125 @@ let test_remote_node_survives_garbage () =
           Scoop.Registration.query reg (fun () -> 2026))
       in
       check_int "node still serving after a torn peer" 2026 v))
+
+let test_remote_pipelined_disconnect () =
+  (* The pipelined twin of [disconnect mid-query]: the rogue node reads
+     the handshake, the Open and all 16 queries, then slams the
+     connection.  Every outstanding promise is rejected with
+     [Connection_lost]; none hangs. *)
+  let path = next_sock () in
+  let addr = Scoop.Config.Unix_sock path in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let read_exactly fd n =
+    let b = Bytes.create n in
+    let rec go off =
+      if off < n then
+        match Unix.read fd b off (n - off) with
+        | 0 -> failwith "client closed early"
+        | k -> go (off + k)
+    in
+    go 0;
+    b
+  in
+  let rogue =
+    Domain.spawn (fun () ->
+      let fd, _ = Unix.accept lfd in
+      (* Hello + Open + 16 Rquery frames. *)
+      for _ = 1 to 18 do
+        let hdr = read_exactly fd 8 in
+        ignore (read_exactly fd (Int64.to_int (Bytes.get_int64_le hdr 0)))
+      done;
+      Unix.close fd;
+      Unix.close lfd)
+  in
+  let outcomes =
+    Scoop.Runtime.run
+      ~config:(Scoop.Remote.connect [ addr ])
+      (fun rt ->
+        let p = Scoop.Runtime.processor rt in
+        let outcomes = ref [] in
+        (try
+           Scoop.Runtime.separate rt p (fun reg ->
+             let promises =
+               List.init 16 (fun i ->
+                 Scoop.Registration.query_async reg (fun () -> i))
+             in
+             outcomes :=
+               List.map
+                 (fun pr ->
+                   match Scoop.Promise.await ~timeout:10.0 pr with
+                   | (_ : int) -> `Value
+                   | exception Scoop.Connection_lost _ -> `Lost
+                   | exception Scoop.Timeout -> `Hung
+                   | exception e -> `Other (Printexc.to_string e))
+                 promises)
+         with
+        | Scoop.Connection_lost _ -> ()
+        | Scoop.Handler_failure (_, Scoop.Connection_lost _) -> ());
+        !outcomes)
+  in
+  Domain.join rogue;
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  check_int "16 outcomes" 16 (List.length outcomes);
+  check_bool "every promise rejected with Connection_lost" true
+    (List.for_all (( = ) `Lost) outcomes)
+
+let test_remote_node_rejects_hostile_headers () =
+  (* A header claiming a negative or gigantic payload costs the node
+     that connection only — it never allocates the claimed size — and
+     the node's [remote_bad_frames] counts each.  The node is hosted
+     in-process so its runtime's counters are readable here. *)
+  let path = next_sock () in
+  let addr = Scoop.Config.Unix_sock path in
+  let bad, served =
+    Scoop.Runtime.run ~domains:2 (fun _ ->
+      let node_rt =
+        Scoop.Runtime.create
+          ~config:Scoop.Config.(qoq |> with_listen addr)
+          ()
+      in
+      let stopped = Qs_sched.Ivar.create () in
+      S.spawn (fun () ->
+        Scoop.Internal.Node.serve node_rt addr;
+        Qs_sched.Ivar.fill stopped ());
+      while not (Sys.file_exists path) do
+        S.yield ()
+      done;
+      List.iter
+        (fun len ->
+          let fd = Proto.connect_to addr in
+          let out : Proto.client_msg Sq.t =
+            Sq.of_fds ~flags:[ Marshal.Closures ] ~read_fd:fd ~write_fd:fd ()
+          in
+          let back : Proto.node_msg Sq.t =
+            Sq.of_fds ~flags:[ Marshal.Closures ] ~read_fd:fd ~write_fd:fd ()
+          in
+          Sq.enqueue out (Proto.hello ());
+          let hdr = Bytes.create 8 in
+          Bytes.set_int64_le hdr 0 len;
+          write_raw fd hdr;
+          check_bool "node drops the connection" true (Sq.dequeue back = None);
+          Unix.close fd)
+        [ -1L; Int64.shift_left 1L 40 ];
+      let client_rt =
+        Scoop.Runtime.create ~config:(Scoop.Remote.connect [ addr ]) ()
+      in
+      let p = Scoop.Runtime.processor client_rt in
+      let v =
+        Scoop.Runtime.separate client_rt p (fun reg ->
+          Scoop.Registration.query reg (fun () -> 2026))
+      in
+      Scoop.Runtime.shutdown_nodes client_rt;
+      Scoop.Runtime.shutdown client_rt;
+      Qs_sched.Ivar.read stopped;
+      Scoop.Runtime.shutdown node_rt;
+      let s = Scoop.Stats.snapshot (Scoop.Runtime.stats node_rt) in
+      (s.Scoop.Stats.s_remote_bad_frames, v))
+  in
+  check_int "node still serving after both headers" 2026 served;
+  check_int "both rejections counted" 2 bad
 
 (* Two shard-mapped nodes: processor id routes to node id mod 2, and the
    same workload spreads across both without client changes. *)
@@ -557,6 +845,16 @@ let () =
           Alcotest.test_case "truncated frame" `Quick test_truncated_frame;
           Alcotest.test_case "header-only truncation" `Quick
             test_header_only_truncation;
+          Alcotest.test_case "post: concurrent producers" `Quick
+            test_post_concurrent_producers;
+          Alcotest.test_case "post: backpressure" `Quick test_post_backpressure;
+          Alcotest.test_case "post: one write per burst" `Quick
+            test_post_one_write_per_burst;
+          Alcotest.test_case "post: deferred failure" `Quick
+            test_post_deferred_failure;
+          Alcotest.test_case "enqueue flushes posts" `Quick
+            test_enqueue_flushes_posts;
+          Alcotest.test_case "hostile headers" `Quick test_hostile_headers;
         ] );
       ( "distributed runtime",
         [
@@ -566,11 +864,17 @@ let () =
             test_remote_query_failure_no_poison;
           Alcotest.test_case "pipelined remote queries" `Quick
             test_remote_pipelined;
+          Alcotest.test_case "writes per burst" `Quick
+            test_remote_writes_per_burst;
           Alcotest.test_case "remote timeout" `Quick test_remote_timeout;
           Alcotest.test_case "disconnect mid-query" `Quick
             test_remote_disconnect_mid_query;
           Alcotest.test_case "node survives torn peer" `Quick
             test_remote_node_survives_garbage;
+          Alcotest.test_case "pipelined disconnect" `Quick
+            test_remote_pipelined_disconnect;
+          Alcotest.test_case "node rejects hostile headers" `Quick
+            test_remote_node_rejects_hostile_headers;
           Alcotest.test_case "static shard map" `Quick test_remote_shard_map;
           Alcotest.test_case "mixed local/remote reservation rejected" `Quick
             test_mixed_reservation_rejected;
